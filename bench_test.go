@@ -296,12 +296,11 @@ func BenchmarkPoolGet(b *testing.B) {
 			name = "batched"
 		}
 		b.Run(name, func(b *testing.B) {
-			policy, _ := bpwrapper.NewPolicy("2q", 1024)
 			pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
-				Frames:  1024,
-				Policy:  policy,
-				Wrapper: bpwrapper.WrapperConfig{Batching: batching},
-				Device:  bpwrapper.NewMemDevice(),
+				Frames:        1024,
+				PolicyFactory: bpwrapper.PolicyFactories()["2q"],
+				Wrapper:       bpwrapper.WrapperConfig{Batching: batching},
+				Device:        bpwrapper.NewMemDevice(),
 			})
 			ids := make([]bpwrapper.PageID, 1024)
 			for i := range ids {

@@ -34,12 +34,11 @@
 //
 // # Quick start
 //
-//	policy, _ := bpwrapper.NewPolicy("2q", 1024)
 //	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
-//		Frames:  1024,
-//		Policy:  policy,
-//		Wrapper: bpwrapper.WrapperConfig{Batching: true, Prefetching: true},
-//		Device:  bpwrapper.NewMemDevice(),
+//		Frames:        1024,
+//		PolicyFactory: bpwrapper.PolicyFactories()["2q"],
+//		Wrapper:       bpwrapper.WrapperConfig{Batching: true, Prefetching: true},
+//		Device:        bpwrapper.NewMemDevice(),
 //	})
 //	sess := pool.NewSession() // one per worker goroutine
 //	ref, err := pool.Get(sess, bpwrapper.NewPageID(1, 0))
@@ -55,12 +54,10 @@ import (
 	"bpwrapper/internal/buffer"
 	"bpwrapper/internal/control"
 	"bpwrapper/internal/core"
-	"bpwrapper/internal/metrics"
 	"bpwrapper/internal/obs"
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/reqtrace"
-	"bpwrapper/internal/server"
 	"bpwrapper/internal/storage"
 	"bpwrapper/internal/trace"
 	"bpwrapper/internal/workload"
@@ -81,9 +78,6 @@ type BufferTag = page.BufferTag
 // Page is an 8 KB page image.
 type Page = page.Page
 
-// PageSize is the page size in bytes (8 KB, as in PostgreSQL).
-const PageSize = page.Size
-
 // NewPageID packs a table number (1..2^20-1) and block number (< 2^44)
 // into a PageID.
 func NewPageID(table uint32, block uint64) PageID { return page.NewPageID(table, block) }
@@ -91,75 +85,33 @@ func NewPageID(table uint32, block uint64) PageID { return page.NewPageID(table,
 // ---------------------------------------------------------------------------
 // Replacement policies
 
-// Policy is a buffer replacement algorithm. Implementations are not safe
-// for concurrent use; they are driven either single-threaded (simulation),
-// under one global lock (the pre-BP-Wrapper design), or through the
-// Wrapper.
-type Policy = replacer.Policy
-
-// Prefetcher is implemented by policies that support the prefetching
-// technique.
-type Prefetcher = replacer.Prefetcher
-
-// NewPolicy constructs a replacement policy by name. Available names:
-// "lru", "fifo", "lfu", "lru2", "clock", "gclock", "2q", "lirs", "mq",
-// "arc", "car", "clockpro", "seq".
-func NewPolicy(name string, capacity int) (Policy, bool) { return replacer.New(name, capacity) }
+// NewPolicy constructs a replacement policy by name, for standalone use
+// (NewWrapper, ReplayTrace). Available names: "lru", "fifo", "lfu",
+// "lru2", "clock", "gclock", "2q", "lirs", "mq", "arc", "car",
+// "clockpro", "seq".
+func NewPolicy(name string, capacity int) (replacer.Policy, bool) {
+	return replacer.New(name, capacity)
+}
 
 // PolicyNames lists the available algorithm names in sorted order.
 func PolicyNames() []string { return replacer.Names() }
 
-// Direct constructors for callers that want tuned parameters.
-var (
-	NewLRU      = replacer.NewLRU
-	NewFIFO     = replacer.NewFIFO
-	NewLFU      = replacer.NewLFU
-	NewLRU2     = replacer.NewLRU2
-	NewLRUK     = replacer.NewLRUK
-	NewClock    = replacer.NewClock
-	NewGClock   = replacer.NewGClock
-	NewTwoQ     = replacer.NewTwoQ
-	NewTwoQT    = replacer.NewTwoQTuned
-	NewLIRS     = replacer.NewLIRS
-	NewLIRST    = replacer.NewLIRSTuned
-	NewMQ       = replacer.NewMQ
-	NewMQT      = replacer.NewMQTuned
-	NewARC      = replacer.NewARC
-	NewCAR      = replacer.NewCAR
-	NewClockPro = replacer.NewClockPro
-)
+// NewTwoQ constructs the 2Q policy the paper evaluates BP-Wrapper with.
+var NewTwoQ = replacer.NewTwoQ
+
+// PolicyFactories returns the named policy constructors ("lru", "2q",
+// "lirs", ...), each usable as a PoolConfig.PolicyFactory.
+func PolicyFactories() map[string]replacer.Factory { return replacer.Factories() }
 
 // ---------------------------------------------------------------------------
 // BP-Wrapper core
 
-// Wrapper couples a replacement policy with its global lock and the
-// BP-Wrapper techniques. Obtain per-backend Sessions with NewSession.
-type Wrapper = core.Wrapper
-
 // WrapperConfig selects batching/prefetching and tunes the FIFO queue.
 type WrapperConfig = core.Config
 
-// Session is one backend's private FIFO queue of deferred hit records,
-// bound to a single Wrapper. Pool backends use PoolSession, which carries
-// one of these per shard.
-type Session = core.Session
-
-// Entry is one queued access record.
-type Entry = core.Entry
-
-// WrapperStats snapshots a Wrapper's counters (lock statistics, batching
-// activity).
-type WrapperStats = core.Stats
-
 // NewWrapper builds a standalone Wrapper around a policy. Most users want
 // NewPool instead, which wires the wrapper into a buffer manager.
-func NewWrapper(p Policy, cfg WrapperConfig) *Wrapper { return core.New(p, cfg) }
-
-// Paper-default queue tuning.
-const (
-	DefaultQueueSize      = core.DefaultQueueSize
-	DefaultBatchThreshold = core.DefaultBatchThreshold
-)
+func NewWrapper(p replacer.Policy, cfg WrapperConfig) *core.Wrapper { return core.New(p, cfg) }
 
 // ---------------------------------------------------------------------------
 // Buffer pool
@@ -175,38 +127,14 @@ const (
 // "shard" experiment (E14) measures both sides.
 type Pool = buffer.Pool
 
-// PoolConfig assembles a Pool. Set Shards and PolicyFactory together to
-// build a hash-partitioned pool; single-shard pools may pass a Policy
-// instance directly.
+// PoolConfig assembles a Pool. PolicyFactory is required: the pool calls
+// it once per shard, with that shard's frame count.
 type PoolConfig = buffer.Config
 
 // PoolSession is a per-backend handle for Pool.Get/GetWrite, carrying one
 // batching Session per shard; obtain one per worker goroutine with
 // Pool.NewSession and do not share it between goroutines.
 type PoolSession = buffer.Session
-
-// PolicyFactory constructs a replacement-policy instance of a given
-// capacity; sharded pools call it once per shard. PolicyFactories returns
-// the named constructors.
-type PolicyFactory = replacer.Factory
-
-// PolicyFactories returns the named policy constructors ("lru", "2q",
-// "lirs", ...), each usable as a PoolConfig.PolicyFactory.
-func PolicyFactories() map[string]PolicyFactory { return replacer.Factories() }
-
-// PageRef is a pinned reference to a buffered page.
-type PageRef = buffer.PageRef
-
-// PoolStats is an operational snapshot of a Pool (see Pool.Stats). With a
-// sharded pool the top-level counters are consistent aggregates over
-// PerShard.
-type PoolStats = buffer.Stats
-
-// PoolShardStats is the per-shard slice of a PoolStats snapshot.
-type PoolShardStats = buffer.ShardStats
-
-// AccessSnapshot is a consistent hits/misses pair (see Pool.AccessStats).
-type AccessSnapshot = metrics.AccessSnapshot
 
 // BackgroundWriter periodically writes dirty pages back to the device and
 // drains the pool's dirty quarantine, backing off when the device is down;
@@ -216,15 +144,23 @@ type BackgroundWriter = buffer.BackgroundWriter
 // BackgroundWriterConfig tunes a BackgroundWriter.
 type BackgroundWriterConfig = buffer.BackgroundWriterConfig
 
-// BackgroundWriterStats snapshots a BackgroundWriter's activity (rounds,
-// pages written, write failures, backoff rounds).
-type BackgroundWriterStats = buffer.BackgroundWriterStats
-
-// ErrNoUnpinnedBuffers is returned when every candidate victim is pinned.
-var ErrNoUnpinnedBuffers = buffer.ErrNoUnpinnedBuffers
-
 // NewPool builds a buffer pool.
 func NewPool(cfg PoolConfig) *Pool { return buffer.New(cfg) }
+
+// Errors a pool access can return besides device errors; classify them
+// with errors.Is.
+var (
+	// ErrNoUnpinnedBuffers: every candidate victim was pinned or
+	// otherwise unclaimable.
+	ErrNoUnpinnedBuffers = buffer.ErrNoUnpinnedBuffers
+
+	// ErrQuarantineFull: a dirty victim could not be parked for
+	// write-back; it also matches ErrNoUnpinnedBuffers.
+	ErrQuarantineFull = buffer.ErrQuarantineFull
+
+	// ErrOverloaded: the shard's health ladder shed the miss.
+	ErrOverloaded = buffer.ErrOverloaded
+)
 
 // ---------------------------------------------------------------------------
 // Self-tuning controller
@@ -241,9 +177,6 @@ type Controller = control.Controller
 // field picks the documented default. Pool is required.
 type ControllerConfig = control.Config
 
-// ControllerAction is one actuation taken by a controller step.
-type ControllerAction = control.Action
-
 // NewController builds a Controller over a pool. Call Start to run it on
 // its interval ticker and Stop to halt it; Step may instead be driven
 // manually for deterministic replay.
@@ -254,9 +187,6 @@ func NewController(cfg ControllerConfig) *Controller { return control.New(cfg) }
 
 // Device is the storage interface beneath the pool.
 type Device = storage.Device
-
-// DeviceStats counts device activity.
-type DeviceStats = storage.DeviceStats
 
 // SimDiskConfig tunes the latency-simulating disk.
 type SimDiskConfig = storage.SimDiskConfig
@@ -270,9 +200,6 @@ func NewMemDevice() *storage.MemDevice { return storage.NewMemDevice() }
 func NewSimDisk(backing Device, cfg SimDiskConfig) *storage.SimDisk {
 	return storage.NewSimDisk(backing, cfg)
 }
-
-// NewNullDevice returns a zero-latency device for fully cached runs.
-func NewNullDevice() *storage.NullDevice { return storage.NewNullDevice() }
 
 // ---------------------------------------------------------------------------
 // Fault tolerance
@@ -292,146 +219,36 @@ var (
 	ErrCorruptPage = storage.ErrCorruptPage
 
 	// ErrInvalidPage marks an operation naming the invalid PageID — a
-	// caller bug, not a device failure. The cache client maps the wire
-	// INVALID_PAGE status back onto this same sentinel.
+	// caller bug, not a device failure.
 	ErrInvalidPage = storage.ErrInvalidPage
 )
-
-// RetryableError reports whether a device error is worth retrying:
-// transient faults and checksum mismatches are, permanent errors are not.
-func RetryableError(err error) bool { return storage.Retryable(err) }
-
-// FaultDevice injects deterministic, seedable storage faults (transient or
-// permanent errors, latency spikes, page corruption) for testing and the
-// bpbench faults experiment.
-type FaultDevice = storage.FaultDevice
 
 // FaultConfig tunes a FaultDevice's probabilistic injection.
 type FaultConfig = storage.FaultConfig
 
-// RetryDevice retries retryable failures with bounded exponential backoff
-// and jitter.
-type RetryDevice = storage.RetryDevice
-
 // RetryConfig tunes a RetryDevice.
 type RetryConfig = storage.RetryConfig
 
-// ChecksumDevice stamps a checksum on every write and verifies it on
-// read, surfacing torn or corrupted pages as ErrCorruptPage.
-type ChecksumDevice = storage.ChecksumDevice
-
-// NewFaultDevice wraps a device with fault injection. Compose the
-// production stack as NewRetryDevice(NewChecksumDevice(device), cfg).
-func NewFaultDevice(backing Device, cfg FaultConfig) *FaultDevice {
+// NewFaultDevice wraps a device with deterministic, seedable fault
+// injection (transient or permanent errors, latency spikes, page
+// corruption). Compose the production stack as
+// NewRetryDevice(NewChecksumDevice(device), cfg).
+func NewFaultDevice(backing Device, cfg FaultConfig) *storage.FaultDevice {
 	return storage.NewFaultDevice(backing, cfg)
 }
 
-// NewRetryDevice wraps a device with retry/backoff.
-func NewRetryDevice(backing Device, cfg RetryConfig) *RetryDevice {
+// NewRetryDevice wraps a device with bounded exponential backoff and
+// jitter for retryable failures.
+func NewRetryDevice(backing Device, cfg RetryConfig) *storage.RetryDevice {
 	return storage.NewRetryDevice(backing, cfg)
 }
 
-// NewChecksumDevice wraps a device with end-to-end checksum verification.
-func NewChecksumDevice(backing Device) *ChecksumDevice {
+// NewChecksumDevice wraps a device with end-to-end checksum verification:
+// it stamps a checksum on every write and surfaces torn or corrupted pages
+// as ErrCorruptPage on read.
+func NewChecksumDevice(backing Device) *storage.ChecksumDevice {
 	return storage.NewChecksumDevice(backing)
 }
-
-// ---------------------------------------------------------------------------
-// Graceful degradation
-//
-// A failing device must degrade its shard, not the pool. Each shard's
-// health ladder (Healthy → Degraded → ReadOnly) is driven by a per-shard
-// circuit breaker and quarantine pressure: a Degraded shard
-// admission-controls its misses, a ReadOnly shard sheds them immediately
-// with ErrOverloaded while resident pages keep serving and dirty
-// evictions park losslessly in the quarantine. Compose the resilient
-// per-shard stack with PoolConfig.WrapShardDevice:
-//
-//	cfg.WrapShardDevice = func(shard int, base bpwrapper.Device) bpwrapper.Device {
-//		retried := bpwrapper.NewRetryDevice(bpwrapper.NewChecksumDevice(base), retryCfg)
-//		bounded := bpwrapper.NewDeadlineDevice(retried, bpwrapper.DeadlineConfig{
-//			ReadDeadline: 80 * time.Millisecond, WriteDeadline: 25 * time.Millisecond,
-//		})
-//		return bpwrapper.NewBreakerDevice(bounded, bpwrapper.BreakerConfig{
-//			Window: 64, ErrorThreshold: 0.5, LatencySLO: 10 * time.Millisecond,
-//			OpenTimeout: 150 * time.Millisecond,
-//		})
-//	}
-//
-// See DESIGN.md §11 for the full degradation contract and the chaos
-// scenarios that validate it.
-
-// BreakerDevice is a circuit breaker over a device: it opens on error
-// rate or latency-SLO violations across a sliding outcome window,
-// rejects operations with ErrBreakerOpen while open, and re-closes via
-// half-open probes after OpenTimeout.
-type (
-	BreakerDevice = storage.BreakerDevice
-	BreakerConfig = storage.BreakerConfig
-	BreakerState  = storage.BreakerState
-	BreakerStats  = storage.BreakerStats
-)
-
-// Breaker states, as reported by BreakerDevice.State.
-const (
-	BreakerClosed   = storage.BreakerClosed
-	BreakerOpen     = storage.BreakerOpen
-	BreakerHalfOpen = storage.BreakerHalfOpen
-)
-
-// DeadlineDevice bounds each device operation by a deadline, abandoning
-// (not waiting out) operations that hang; per-page stripe locks keep an
-// abandoned write from landing after a later rewrite of the same page.
-type (
-	DeadlineDevice = storage.DeadlineDevice
-	DeadlineConfig = storage.DeadlineConfig
-)
-
-// NewBreakerDevice wraps a device with a circuit breaker.
-func NewBreakerDevice(backing Device, cfg BreakerConfig) *BreakerDevice {
-	return storage.NewBreakerDevice(backing, cfg)
-}
-
-// NewDeadlineDevice wraps a device with per-operation deadlines.
-func NewDeadlineDevice(backing Device, cfg DeadlineConfig) *DeadlineDevice {
-	return storage.NewDeadlineDevice(backing, cfg)
-}
-
-// Degradation errors. None of them is retryable: ErrOverloaded and
-// ErrBreakerOpen are load-shedding feedback (retrying into an open
-// breaker is how brownouts spread), and a deadline miss means the
-// operation was abandoned, not that it failed transiently.
-var (
-	ErrBreakerOpen      = storage.ErrBreakerOpen
-	ErrDeadlineExceeded = storage.ErrDeadlineExceeded
-	ErrDeviceCanceled   = storage.ErrCanceled
-	ErrOverloaded       = buffer.ErrOverloaded
-	ErrQuarantineFull   = buffer.ErrQuarantineFull
-)
-
-// HealthState is one rung of a shard's degradation ladder; read it with
-// Pool.ShardHealth or PoolStats.PerShard[i].Health.
-type HealthState = buffer.HealthState
-
-// Health ladder rungs.
-const (
-	ShardHealthy  = buffer.Healthy
-	ShardDegraded = buffer.Degraded
-	ShardReadOnly = buffer.ReadOnly
-)
-
-// HealthConfig tunes a pool's degradation behaviour
-// (PoolConfig.Health): the Degraded-state miss admission bound, or
-// Disable to opt a pool out of shedding entirely.
-type HealthConfig = buffer.HealthConfig
-
-// FindBreaker walks a shard's device chain (Pool.ShardDevice) to its
-// breaker, if one is present.
-func FindBreaker(d Device) (*BreakerDevice, bool) { return storage.FindBreaker(d) }
-
-// FindDeadline walks a shard's device chain to its deadline wrapper, if
-// one is present.
-func FindDeadline(d Device) (*DeadlineDevice, bool) { return storage.FindDeadline(d) }
 
 // ---------------------------------------------------------------------------
 // Observability
@@ -449,49 +266,27 @@ func FindDeadline(d Device) (*DeadlineDevice, bool) { return storage.FindDeadlin
 //	srv, _ := bpwrapper.NewObsServer(":6060", reg)
 //	defer srv.Close()
 
-// Observability types: the scrape registry, its HTTP server, the
-// lock-free flight recorder, and recorded events.
-type (
-	ObsRegistry = obs.Registry
-	ObsServer   = obs.Server
-	ObsMetric   = obs.Metric
-	Recorder    = obs.Recorder
-	Event       = obs.Event
-	EventKind   = obs.EventKind
-	LockProfile = metrics.LockProfile
-)
+// Recorder is the lock-free flight recorder of commit-path events.
+type Recorder = obs.Recorder
 
 // NewObsRegistry returns an empty metrics registry.
-func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
+func NewObsRegistry() *obs.Registry { return obs.NewRegistry() }
 
 // NewObsServer binds addr (":0" picks a free port) and serves the registry
 // over HTTP in the background.
-func NewObsServer(addr string, reg *ObsRegistry) (*ObsServer, error) {
+func NewObsServer(addr string, reg *obs.Registry) (*obs.Server, error) {
 	return obs.NewServer(addr, reg)
 }
 
 // NewRecorder returns a flight recorder holding the newest size events.
 func NewRecorder(size int) *Recorder { return obs.NewRecorder(size) }
 
-// Request tracing (reqtrace): always-on span capture for the request
-// path, enabled with PoolConfig.Trace. A traced request decomposes into
-// phase spans (bucket probe, pin, lock wait, combiner handoff, policy
-// op, device I/O, quarantine) retained in lock-free rings — head-sampled
-// every TraceConfig.SampleEvery requests, with requests that cross
-// TraceConfig.SLO kept unconditionally in a tail ring. Register the
-// pool's tracer on an ObsRegistry (done by Pool.RegisterObs) to serve
-// /debug/traces and exemplar-annotated histograms.
-type (
-	TraceConfig = reqtrace.Config
-	Tracer      = reqtrace.Tracer
-	TraceSpan   = reqtrace.Span
-	TracePhase  = reqtrace.Phase
-	TraceStats  = reqtrace.Stats
-)
-
-// NewTracer builds a standalone tracer; reqtrace.New returns nil (a
-// valid, disabled tracer) unless cfg.Enable is set.
-func NewTracer(cfg TraceConfig) *Tracer { return reqtrace.New(cfg) }
+// TraceConfig enables request tracing (PoolConfig.Trace): per-request
+// phase spans (bucket probe, pin, lock wait, combiner handoff, policy op,
+// device I/O, quarantine) retained in lock-free rings — head-sampled every
+// SampleEvery requests, with requests that cross SLO kept unconditionally
+// in a tail ring. Pool.RegisterObs serves them at /debug/traces.
+type TraceConfig = reqtrace.Config
 
 // ---------------------------------------------------------------------------
 // Workloads
@@ -503,23 +298,19 @@ type (
 	Access   = workload.Access
 )
 
-// Workload constructors and configurations.
+// Workload configurations.
 type (
-	TPCWConfig      = workload.TPCWConfig
 	TPCCConfig      = workload.TPCCConfig
 	TableScanConfig = workload.TableScanConfig
 	SyntheticConfig = workload.SyntheticConfig
 	YCSBConfig      = workload.YCSBConfig
 )
 
+// Workload constructors.
 var (
-	NewTPCW      = workload.NewTPCW
 	NewTPCC      = workload.NewTPCC
 	NewTableScan = workload.NewTableScan
 	NewZipf      = workload.NewZipf
-	NewUniform   = workload.NewUniform
-	NewHotspot   = workload.NewHotspot
-	NewLoop      = workload.NewLoop
 	NewYCSB      = workload.NewYCSB
 )
 
@@ -531,82 +322,10 @@ func WorkloadByName(name string) (Workload, error) { return workload.ByName(name
 // ---------------------------------------------------------------------------
 // Traces
 
-// Trace is a recorded access sequence; TraceResult summarizes a replay.
-type (
-	Trace       = trace.Trace
-	TraceResult = trace.Result
-)
-
 // RecordTrace captures a deterministic interleaved trace from a workload.
-func RecordTrace(wl Workload, workers, txnsPerWorker int, seed int64) *Trace {
+func RecordTrace(wl Workload, workers, txnsPerWorker int, seed int64) *trace.Trace {
 	return trace.Record(wl, workers, txnsPerWorker, seed)
 }
 
 // ReplayTrace drives a policy with a trace and returns hit statistics.
-func ReplayTrace(p Policy, t *Trace) TraceResult { return trace.Replay(p, t) }
-
-// ReplayTraceBatched replays through the BP-Wrapper batching path, for
-// hit-ratio fidelity comparisons.
-func ReplayTraceBatched(p Policy, t *Trace, queueSize, threshold int) TraceResult {
-	return trace.ReplayBatched(p, t, queueSize, threshold)
-}
-
-// ---------------------------------------------------------------------------
-// Serving over the network (DESIGN.md §13)
-
-// CacheServer is a TCP front-end over one Pool: a page-cache service
-// speaking a length-prefixed binary protocol (GET/PUT/INVALIDATE/FLUSH/
-// STATS), pipelined with per-request IDs. Each connection maps onto one
-// pool session, so the BP-Wrapper batching protocol sees remote clients
-// exactly as it sees in-process workers. CacheClient is its synchronous
-// client; Do pipelines a batch of CacheOps in one round trip.
-type (
-	CacheServer       = server.Server
-	CacheServerConfig = server.Config
-	CacheServerStats  = server.Stats
-	CacheClient       = server.Client
-	CacheOp           = server.Op
-	CacheOpResult     = server.OpResult
-	RemoteStats       = server.RemoteStats
-)
-
-// Pipelined request opcodes for CacheClient.Do.
-const (
-	CacheOpGet        = server.OpGet
-	CacheOpPut        = server.OpPut
-	CacheOpInvalidate = server.OpInvalidate
-	CacheOpFlush      = server.OpFlush
-	CacheOpStats      = server.OpStats
-)
-
-// ErrServerDraining resolves a request the server refused past its drain
-// grace: the operation was NOT applied (an acknowledged write, by
-// contrast, is durable through the drain).
-var ErrServerDraining = server.ErrDraining
-
-// NewCacheServer binds the configured address and begins serving cfg.Pool.
-// Graceful retirement is CacheServer.Drain: listener closed, pool forced
-// read-only, in-flight tails served, then Pool.CloseWithin flushes every
-// dirty page.
-func NewCacheServer(cfg CacheServerConfig) (*CacheServer, error) { return server.New(cfg) }
-
-// DialCache connects a CacheClient. One client per goroutine: it is
-// deliberately not concurrency-safe, mirroring pool sessions.
-func DialCache(addr string) (*CacheClient, error) { return server.Dial(addr) }
-
-// DialCacheTimeout is DialCache with a connect timeout.
-var DialCacheTimeout = server.DialTimeout
-
-// Remote fleet driving (bpload -remote): RunFleet runs workers of a
-// Workload against a CacheServer and folds exact per-worker counters
-// after every worker joins; FleetLive is the lagging live view for
-// progress tickers.
-type (
-	FleetConfig   = server.FleetConfig
-	FleetCounters = server.FleetCounters
-	FleetResult   = server.FleetResult
-	FleetLive     = server.FleetLive
-)
-
-// RunFleet drives a remote CacheServer with a fleet of client workers.
-var RunFleet = server.RunFleet
+func ReplayTrace(p replacer.Policy, t *trace.Trace) trace.Result { return trace.Replay(p, t) }

@@ -11,7 +11,7 @@
 //	bpbench -exp tab2             # Table II: queue-size sensitivity
 //	bpbench -exp tab3             # Table III: batch-threshold sensitivity
 //	bpbench -exp fig8             # Figure 8: hit ratio & throughput vs buffer size
-//	bpbench -exp ablation-queue   # shared vs private FIFO queues
+//	bpbench -exp ablation-queue   # shared vs private FIFO queues (sim mode only)
 //	bpbench -exp ablation-policy  # LIRS/MQ under the wrapper
 //	bpbench -exp combine          # baseline vs batched vs flat-combined commits
 //	bpbench -exp contention       # lock anatomy: acquisitions/blocking/wait/hold
@@ -331,6 +331,9 @@ func main() {
 
 	if *exp == "all" {
 		for _, name := range []string{"fig2", "fig6", "fig7", "tab2", "tab3", "fig8", "ablation-queue", "ablation-policy", "distributed", "adaptive", "combine", "contention"} {
+			if name == "ablation-queue" && opts.Mode == bench.ModeReal {
+				continue // the shared queue exists only in the simulator
+			}
 			run(name)
 		}
 		return

@@ -58,7 +58,7 @@ func main() {
 	if nFrames <= 0 {
 		nFrames = wl.DataPages()
 	}
-	policy, ok := bpwrapper.NewPolicy(*policyName, nFrames)
+	factory, ok := bpwrapper.PolicyFactories()[*policyName]
 	if !ok {
 		fatal(fmt.Errorf("unknown policy %q", *policyName))
 	}
@@ -67,8 +67,8 @@ func main() {
 		device = bpwrapper.NewSimDisk(bpwrapper.NewMemDevice(), bpwrapper.SimDiskConfig{ReadLatency: *diskLat})
 	}
 	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
-		Frames: nFrames,
-		Policy: policy,
+		Frames:        nFrames,
+		PolicyFactory: factory,
 		Wrapper: bpwrapper.WrapperConfig{
 			Batching:          *batching,
 			Prefetching:       *prefetching,

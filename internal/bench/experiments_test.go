@@ -315,19 +315,27 @@ func TestRealModeAblations(t *testing.T) {
 	o := tinyOptions()
 	o.Mode = ModeReal
 	o.TxnsPerWorker = 60
-	rows, err := AblationSharedQueue(2, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("shared-queue rows=%d", len(rows))
-	}
 	prows, err := AblationPolicies(2, []string{"lirs"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(prows) != 2 {
 		t.Fatalf("policy rows=%d", len(prows))
+	}
+}
+
+// TestAblationSharedQueueRejectsRealMode: the shared queue is modelled
+// only in the simulator, so a real-mode E7 run fails up front with an
+// error that says so instead of measuring something else.
+func TestAblationSharedQueueRejectsRealMode(t *testing.T) {
+	o := tinyOptions()
+	o.Mode = ModeReal
+	rows, err := AblationSharedQueue(2, o)
+	if err == nil || !strings.Contains(err.Error(), "sim mode only") {
+		t.Fatalf("err = %v, want a sim-mode-only error", err)
+	}
+	if rows != nil {
+		t.Fatalf("rows = %v, want none", rows)
 	}
 }
 

@@ -141,12 +141,7 @@ func hitpathPool(locked bool, shards int, o Options) (*buffer.Pool, []page.PageI
 		Wrapper:       core.Config{},
 		Device:        storage.NewNullDevice(),
 		LockedHitPath: locked,
-	}
-	f := replacer.Factories()["lru"]
-	if shards > 1 {
-		cfg.PolicyFactory = f
-	} else {
-		cfg.Policy = f(HitpathFrames)
+		PolicyFactory: replacer.Factories()["lru"],
 	}
 	if o.Obs != nil {
 		cfg.RecorderSize = 4096

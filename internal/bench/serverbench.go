@@ -128,18 +128,12 @@ func ServerExperiment(procs int, o Options) (*ServerReport, error) {
 // serverPool builds one arm's pool: memory device, LRU, defaults
 // elsewhere — the arm measures the protocol layer, not the policy.
 func serverPool(shards int) *buffer.Pool {
-	cfg := buffer.Config{
-		Frames: ServerFrames,
-		Shards: shards,
-		Device: storage.NewMemDevice(),
-	}
-	f := replacer.Factories()["lru"]
-	if shards > 1 {
-		cfg.PolicyFactory = f
-	} else {
-		cfg.Policy = f(ServerFrames)
-	}
-	return buffer.New(cfg)
+	return buffer.New(buffer.Config{
+		Frames:        ServerFrames,
+		Shards:        shards,
+		PolicyFactory: replacer.Factories()["lru"],
+		Device:        storage.NewMemDevice(),
+	})
 }
 
 // serverLedgerArm drives one (shards, pipeline) arm: the seeded op

@@ -155,18 +155,13 @@ func shardHitSweep(shardCounts []int, seed int64) ([]ShardHitRow, error) {
 
 // shardHitPoint drives one sharded pool over the trace.
 func shardHitPoint(policy string, f replacer.Factory, shards int, tr *trace.Trace) (ShardHitRow, error) {
-	cfg := buffer.Config{
-		Frames:  ShardHitFrames,
-		Shards:  shards,
-		Wrapper: core.Config{}, // direct commits: the sweep measures history, not locks
-		Device:  storage.NewNullDevice(),
-	}
-	if shards > 1 {
-		cfg.PolicyFactory = f
-	} else {
-		cfg.Policy = f(ShardHitFrames)
-	}
-	pool := buffer.New(cfg)
+	pool := buffer.New(buffer.Config{
+		Frames:        ShardHitFrames,
+		Shards:        shards,
+		PolicyFactory: f,
+		Wrapper:       core.Config{}, // direct commits: the sweep measures history, not locks
+		Device:        storage.NewNullDevice(),
+	})
 	s := pool.NewSession()
 	for _, a := range tr.Accesses {
 		ref, err := pool.Get(s, a.Page)
@@ -191,22 +186,17 @@ func shardHitPoint(policy string, f replacer.Factory, shards int, tr *trace.Trac
 // differences.
 func shardThroughputPoint(sys System, wl workload.Workload, shards, procs int, o Options) (ShardThroughputRow, error) {
 	frames := wl.DataPages()
-	f, ok := replacer.Factories()[sys.Policy]
-	if !ok {
-		return ShardThroughputRow{}, fmt.Errorf("bench: system %s uses unknown policy %q", sys.Name, sys.Policy)
+	f, err := sys.policyFactory()
+	if err != nil {
+		return ShardThroughputRow{}, err
 	}
-	cfg := buffer.Config{
-		Frames:  frames,
-		Shards:  shards,
-		Wrapper: sys.WrapperConfig(ShardQueueSize, ShardThreshold),
-		Device:  storage.NewNullDevice(),
-	}
-	if shards > 1 {
-		cfg.PolicyFactory = f
-	} else {
-		cfg.Policy = f(frames)
-	}
-	pool := buffer.New(cfg)
+	pool := buffer.New(buffer.Config{
+		Frames:        frames,
+		Shards:        shards,
+		PolicyFactory: f,
+		Wrapper:       sys.WrapperConfig(ShardQueueSize, ShardThreshold),
+		Device:        storage.NewNullDevice(),
+	})
 	if err := pool.Prewarm(wl.Pages()); err != nil {
 		return ShardThroughputRow{}, err
 	}

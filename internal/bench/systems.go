@@ -98,51 +98,47 @@ func (s System) WrapperConfig(queueSize, batchThreshold int) core.Config {
 	}
 }
 
+// policyFactory returns the constructor for the system's replacement
+// policy.
+func (s System) policyFactory() (replacer.Factory, error) {
+	f, ok := replacer.Factories()[s.Policy]
+	if !ok {
+		return nil, fmt.Errorf("bench: system %s uses unknown policy %q", s.Name, s.Policy)
+	}
+	return f, nil
+}
+
 // NewPool builds a buffer pool of the given frame count for this system.
 // queueSize/batchThreshold of zero mean the paper's defaults.
 func (s System) NewPool(frames int, device storage.Device, queueSize, batchThreshold int) (*buffer.Pool, error) {
-	pol, ok := replacer.New(s.Policy, frames)
-	if !ok {
-		return nil, fmt.Errorf("bench: system %s uses unknown policy %q", s.Name, s.Policy)
+	f, err := s.policyFactory()
+	if err != nil {
+		return nil, err
 	}
 	return buffer.New(buffer.Config{
-		Frames:  frames,
-		Policy:  pol,
-		Wrapper: s.WrapperConfig(queueSize, batchThreshold),
-		Device:  device,
+		Frames:        frames,
+		PolicyFactory: f,
+		Wrapper:       s.WrapperConfig(queueSize, batchThreshold),
+		Device:        device,
 	}), nil
 }
 
-// buildPool constructs a pool with an explicit wrapper configuration (used
-// by ablations that tweak fields beyond queue tuning).
-func buildPool(s System, frames int, wcfg core.Config) (*buffer.Pool, error) {
-	pol, ok := replacer.New(s.Policy, frames)
-	if !ok {
-		return nil, fmt.Errorf("bench: system %s uses unknown policy %q", s.Name, s.Policy)
-	}
-	return buffer.New(buffer.Config{
-		Frames:  frames,
-		Policy:  pol,
-		Wrapper: wcfg,
-		Device:  storage.NewNullDevice(),
-	}), nil
-}
-
-// buildPoolObs is buildPool plus live observability: when o.Obs is set the
-// pool gets per-shard flight recorders and takes over the registry (the
-// previous point's collectors are cleared), so a `bpbench -obs` listener
-// always serves the pool of the point currently running. With o.Obs nil it
-// is buildPool exactly — no recorder, no registration, no overhead.
+// buildPoolObs constructs a pool with an explicit wrapper configuration
+// plus live observability: when o.Obs is set the pool gets per-shard
+// flight recorders and takes over the registry (the previous point's
+// collectors are cleared), so a `bpbench -obs` listener always serves the
+// pool of the point currently running. With o.Obs nil there is no
+// recorder, no registration and no overhead.
 func buildPoolObs(s System, frames int, wcfg core.Config, o Options) (*buffer.Pool, error) {
-	pol, ok := replacer.New(s.Policy, frames)
-	if !ok {
-		return nil, fmt.Errorf("bench: system %s uses unknown policy %q", s.Name, s.Policy)
+	f, err := s.policyFactory()
+	if err != nil {
+		return nil, err
 	}
 	cfg := buffer.Config{
-		Frames:  frames,
-		Policy:  pol,
-		Wrapper: wcfg,
-		Device:  storage.NewNullDevice(),
+		Frames:        frames,
+		PolicyFactory: f,
+		Wrapper:       wcfg,
+		Device:        storage.NewNullDevice(),
 	}
 	if o.Obs != nil {
 		cfg.RecorderSize = 4096

@@ -9,7 +9,6 @@ import (
 
 	"bpwrapper/internal/buffer"
 	"bpwrapper/internal/page"
-	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/reqtrace"
 	"bpwrapper/internal/storage"
 )
@@ -117,16 +116,16 @@ func TracingExperiment(o Options) (*TracingReport, error) {
 
 // tracingPoint drives one arm and decomposes its spans.
 func tracingPoint(sys System, seed int64) (TracingArmRow, []TracingPhaseRow, error) {
-	pol, ok := replacer.New(sys.Policy, TracingFrames)
-	if !ok {
-		return TracingArmRow{}, nil, fmt.Errorf("unknown policy %q", sys.Policy)
+	f, err := sys.policyFactory()
+	if err != nil {
+		return TracingArmRow{}, nil, err
 	}
 	var tick int64
 	pool := buffer.New(buffer.Config{
-		Frames:  TracingFrames,
-		Policy:  pol,
-		Wrapper: sys.WrapperConfig(0, 0),
-		Device:  storage.NewNullDevice(),
+		Frames:        TracingFrames,
+		PolicyFactory: f,
+		Wrapper:       sys.WrapperConfig(0, 0),
+		Device:        storage.NewNullDevice(),
 		Trace: reqtrace.Config{
 			Enable:      true,
 			SampleEvery: 1, // trace every request: the decomposition wants the census, not a sample

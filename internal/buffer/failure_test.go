@@ -16,10 +16,10 @@ func flakyPool(frames int) (*Pool, *storage.FaultDevice, *storage.MemDevice) {
 	mem := storage.NewMemDevice()
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	p := New(Config{
-		Frames:  frames,
-		Policy:  replacer.NewLRU(frames),
-		Wrapper: core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
-		Device:  dev,
+		Frames:        frames,
+		PolicyFactory: replacer.Factories()["lru"],
+		Wrapper:       core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
+		Device:        dev,
 	})
 	return p, dev, mem
 }
@@ -212,7 +212,7 @@ func TestQuarantineBoundRefusesDirtyEvictions(t *testing.T) {
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	p := New(Config{
 		Frames:        4,
-		Policy:        replacer.NewLRU(4),
+		PolicyFactory: replacer.Factories()["lru"],
 		Device:        dev,
 		QuarantineCap: 2,
 		// Health admission would shed these misses before they ever reach

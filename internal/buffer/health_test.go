@@ -67,7 +67,7 @@ func TestHealthQuarantinePressureDegrades(t *testing.T) {
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	p := New(Config{
 		Frames:        4,
-		Policy:        replacer.NewLRU(4),
+		PolicyFactory: replacer.Factories()["lru"],
 		Device:        dev,
 		QuarantineCap: 2,
 	})
@@ -306,7 +306,7 @@ func TestHealthDegradedAdmissionBound(t *testing.T) {
 	}
 	p := New(Config{
 		Frames:        4,
-		Policy:        replacer.NewLRU(4),
+		PolicyFactory: replacer.Factories()["lru"],
 		Device:        blk,
 		QuarantineCap: 4,
 		Health:        HealthConfig{MaxInflightMisses: 1},
@@ -369,9 +369,9 @@ func TestBackgroundWriterPanicContainment(t *testing.T) {
 	mem := storage.NewMemDevice()
 	pd := &panicDevice{Device: mem}
 	p := New(Config{
-		Frames: 4,
-		Policy: replacer.NewLRU(4),
-		Device: pd,
+		Frames:        4,
+		PolicyFactory: replacer.Factories()["lru"],
+		Device:        pd,
 	})
 	s := p.NewSession()
 	dirtyPage(t, p, s, pid(1))
@@ -423,9 +423,9 @@ func TestCloseWithinBudget(t *testing.T) {
 	mem := storage.NewMemDevice()
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	p := New(Config{
-		Frames: 4,
-		Policy: replacer.NewLRU(4),
-		Device: dev,
+		Frames:        4,
+		PolicyFactory: replacer.Factories()["lru"],
+		Device:        dev,
 	})
 	s := p.NewSession()
 	for i := uint64(1); i <= 3; i++ {
@@ -469,10 +469,10 @@ func TestCloseWithinBudget(t *testing.T) {
 func TestSetReadOnlyForcesShedding(t *testing.T) {
 	for _, disabled := range []bool{false, true} {
 		p := New(Config{
-			Frames: 4,
-			Policy: replacer.NewLRU(4),
-			Device: storage.NewMemDevice(),
-			Health: HealthConfig{Disable: disabled},
+			Frames:        4,
+			PolicyFactory: replacer.Factories()["lru"],
+			Device:        storage.NewMemDevice(),
+			Health:        HealthConfig{Disable: disabled},
 		})
 		s := p.NewSession()
 		ref, err := p.Get(s, pid(1))

@@ -19,12 +19,11 @@ func TestPoolWithEveryPolicy(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			pol, _ := replacer.New(name, 64)
 			p := New(Config{
-				Frames:  64,
-				Policy:  pol,
-				Wrapper: core.Config{Batching: true, Prefetching: true, QueueSize: 16, BatchThreshold: 8},
-				Device:  storage.NewMemDevice(),
+				Frames:        64,
+				PolicyFactory: replacer.Factories()[name],
+				Wrapper:       core.Config{Batching: true, Prefetching: true, QueueSize: 16, BatchThreshold: 8},
+				Device:        storage.NewMemDevice(),
 			})
 			var wg sync.WaitGroup
 			var failed atomic.Bool

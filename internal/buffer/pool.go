@@ -56,21 +56,18 @@ type Config struct {
 	// *initial* topology: Reshard changes it at runtime.
 	Shards int
 
-	// Policy is the replacement algorithm instance, sized to Frames. Only
-	// valid for single-shard pools (the history of one policy instance
-	// cannot be split); the pool takes ownership. Exactly one of Policy
-	// and PolicyFactory must be set when Shards <= 1; PolicyFactory is
-	// required when Shards > 1 — and for Reshard, which must build policy
-	// instances for arbitrary shard counts.
-	Policy replacer.Policy
-
 	// PolicyFactory constructs one policy instance per shard, each sized
-	// to that shard's frame count. Required for Shards > 1.
+	// to that shard's frame count (replacer.Factories maps every policy
+	// name to one). Required: one instance's access history cannot be
+	// split across shards, and Reshard builds instances for arbitrary
+	// shard counts.
 	PolicyFactory replacer.Factory
 
 	// Wrapper selects the BP-Wrapper techniques (batching, prefetching,
-	// queue tuning), applied to every shard's wrapper. The Validate field
-	// is overwritten by the pool with its BufferTag check.
+	// queue tuning), applied to every shard's wrapper. The pool owns the
+	// Validate, Events and Tracer fields: it overwrites them with its
+	// BufferTag check, its per-shard recorders (RecorderSize) and its
+	// tracer (Trace).
 	Wrapper core.Config
 
 	// Device is the backing store, shared by all shards (pages are
@@ -93,13 +90,6 @@ type Config struct {
 	// control (see HealthConfig). The zero value enables it with
 	// defaults; set Health.Disable to turn shedding off.
 	Health HealthConfig
-
-	// CloseTimeout bounds how long Close may spend flushing and backing
-	// off before giving up with an error. Zero keeps the legacy behavior
-	// (the full 8-attempt exponential ladder, ~130ms of sleeps plus
-	// flush time). Close never loses data either way — unflushed pages
-	// stay dirty or quarantined.
-	CloseTimeout time.Duration
 
 	// QuarantineCap bounds the dirty-quarantine list that parks pages
 	// across their write-back window (eviction in reclaim, flushes in
@@ -126,9 +116,6 @@ type Config struct {
 	// Zero disables recording entirely — the hot paths then pay only a
 	// nil check. Dumps are appended to Close errors and are available
 	// through FlightDump and the /debug/events endpoint.
-	//
-	// If Wrapper.Events is set it is shared by every shard and RecorderSize
-	// is ignored; normally leave Wrapper.Events nil and set RecorderSize.
 	RecorderSize int
 
 	// Trace enables the request-tracing layer (DESIGN.md §15): per-request
@@ -151,9 +138,8 @@ type Config struct {
 // is remembered from Config so new shard sets can be constructed at any
 // count.
 type Pool struct {
-	cur          atomic.Pointer[shardSet]
-	device       storage.Device
-	closeTimeout time.Duration
+	cur    atomic.Pointer[shardSet]
+	device storage.Device
 
 	// tracer is the pool-wide request tracer (nil when Config.Trace is
 	// disabled); shared across shards and reshard topologies, since spans
@@ -169,12 +155,9 @@ type Pool struct {
 	lockedHitPath bool
 	recorderSize  int
 
-	// factory builds per-shard policy instances for reshards; nil for
-	// single-shard pools constructed with a bare Policy instance (Reshard
-	// then refuses until SwapPolicy installs a factory). Guarded by
-	// policyMu because SwapPolicy replaces it at runtime.
-	policyMu sync.Mutex
-	factory  replacer.Factory
+	// factory builds per-shard policy instances for reshards. Guarded by
+	// reshardMu because SwapPolicy replaces it at runtime.
+	factory replacer.Factory
 
 	// dynThreshold is the controller's live batch-threshold override
 	// (0 = use the configured value); applied to current shards by
@@ -328,15 +311,8 @@ func New(cfg Config) *Pool {
 	if nshards > cfg.Frames {
 		panic(fmt.Sprintf("buffer: Shards %d exceeds Frames %d", nshards, cfg.Frames))
 	}
-	if nshards > 1 && cfg.PolicyFactory == nil {
-		// One policy instance cannot serve several shards: its access
-		// history (ghost lists, recency stacks) is a single structure and
-		// the whole point of sharding is one instance — one lock — per
-		// shard. The caller must say how to build per-shard instances.
-		panic("buffer: Shards > 1 requires PolicyFactory (a single Policy instance cannot be split)")
-	}
-	if cfg.Policy == nil && cfg.PolicyFactory == nil {
-		panic("buffer: Policy or PolicyFactory is required")
+	if cfg.PolicyFactory == nil {
+		panic("buffer: PolicyFactory is required (see replacer.Factories)")
 	}
 	if cfg.QuarantineCap <= 0 {
 		cfg.QuarantineCap = 64
@@ -344,7 +320,6 @@ func New(cfg Config) *Pool {
 
 	p := &Pool{
 		device:        cfg.Device,
-		closeTimeout:  cfg.CloseTimeout,
 		frames:        cfg.Frames,
 		tracer:        reqtrace.New(cfg.Trace),
 		wrapperCfg:    cfg.Wrapper,
@@ -355,15 +330,7 @@ func New(cfg Config) *Pool {
 		recorderSize:  cfg.RecorderSize,
 		factory:       cfg.PolicyFactory,
 	}
-	initFactory := cfg.PolicyFactory
-	if initFactory == nil {
-		// Single-shard pool with a bare Policy instance: build epoch 0
-		// around it (nshards is 1 here, so the closure runs exactly once).
-		// p.factory stays nil, making Reshard refuse until SwapPolicy
-		// installs a real factory.
-		initFactory = func(int) replacer.Policy { return cfg.Policy }
-	}
-	p.cur.Store(p.newShardSet(nshards, 0, initFactory))
+	p.cur.Store(p.newShardSet(nshards, 0, cfg.PolicyFactory))
 	return p
 }
 
@@ -385,15 +352,11 @@ func (p *Pool) newShardSet(n int, epoch uint64, factory replacer.Factory) *shard
 		}
 		pol := factory(fn)
 		wcfg := p.wrapperCfg
-		if wcfg.Events == nil {
-			// One ring per shard: recorders are single-writer-friendly but
-			// fully concurrent, and per-shard rings keep a hot shard from
-			// scrolling a quiet shard's history out of the ring.
-			wcfg.Events = obs.NewRecorder(p.recorderSize)
-		}
-		if wcfg.Tracer == nil {
-			wcfg.Tracer = p.tracer
-		}
+		// One ring per shard: recorders are single-writer-friendly but
+		// fully concurrent, and per-shard rings keep a hot shard from
+		// scrolling a quiet shard's history out of the ring.
+		wcfg.Events = obs.NewRecorder(p.recorderSize)
+		wcfg.Tracer = p.tracer
 		dev := p.device
 		if p.wrapDevice != nil {
 			if dev = p.wrapDevice(i, p.device); dev == nil {
@@ -710,11 +673,11 @@ func (p *Pool) FlushDirty() (int, error) {
 // every shard are written back with bounded retries and exponential
 // backoff, so transient device trouble at shutdown does not lose data. It
 // returns an error if pages remain non-durable (still failing, or pinned
-// dirty) after the retry budget — or after Config.CloseTimeout, if set.
-// Close does not stop a BackgroundWriter — the caller owns that — and the
-// pool remains usable afterwards.
+// dirty) after the full retry ladder; CloseWithin bounds its time. Close
+// does not stop a BackgroundWriter — the caller owns that — and the pool
+// remains usable afterwards.
 func (p *Pool) Close() error {
-	return p.CloseWithin(p.closeTimeout)
+	return p.CloseWithin(0)
 }
 
 // CloseWithin is Close with an explicit time budget: the flush-retry

@@ -3,12 +3,17 @@ package buffer
 import (
 	"errors"
 	"math/rand"
+	"regexp"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bpwrapper/internal/core"
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/replacer"
+	"bpwrapper/internal/sched"
 	"bpwrapper/internal/storage"
 )
 
@@ -16,10 +21,10 @@ func pid(n uint64) page.PageID { return page.NewPageID(1, n) }
 
 func newTestPool(frames int, wcfg core.Config) *Pool {
 	return New(Config{
-		Frames:  frames,
-		Policy:  replacer.NewLRU(frames),
-		Wrapper: wcfg,
-		Device:  storage.NewMemDevice(),
+		Frames:        frames,
+		PolicyFactory: replacer.Factories()["lru"],
+		Wrapper:       wcfg,
+		Device:        storage.NewMemDevice(),
 	})
 }
 
@@ -54,7 +59,7 @@ func TestGetLoadsAndHits(t *testing.T) {
 
 func TestEvictionWritesBackDirty(t *testing.T) {
 	dev := storage.NewMemDevice()
-	p := New(Config{Frames: 2, Policy: replacer.NewLRU(2), Device: dev})
+	p := New(Config{Frames: 2, PolicyFactory: replacer.Factories()["lru"], Device: dev})
 	s := p.NewSession()
 
 	ref, err := p.GetWrite(s, pid(1))
@@ -148,6 +153,62 @@ func TestAllPinnedFails(t *testing.T) {
 	r3.Release()
 }
 
+// TestExhaustedReclaimCarriesTally: when every frame is held, the reclaim
+// error still matches ErrNoUnpinnedBuffers and names why each candidate
+// was refused, with the per-reason counts summing to the candidates tried
+// (2×frames+1 for a policy that always offers another victim).
+func TestExhaustedReclaimCarriesTally(t *testing.T) {
+	const frames = 4
+	p := newTestPool(frames, core.Config{})
+	s := p.NewSession()
+	var refs []*PageRef
+	for i := uint64(1); i < frames; i++ {
+		r, err := p.Get(s, pid(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, r)
+	}
+	w, err := p.GetWrite(s, pid(frames))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs = append(refs, w)
+
+	_, err = p.Get(s, pid(frames+1))
+	if !errors.Is(err, ErrNoUnpinnedBuffers) || errors.Is(err, ErrQuarantineFull) {
+		t.Fatalf("err=%v, want ErrNoUnpinnedBuffers without ErrQuarantineFull", err)
+	}
+	m := regexp.MustCompile(`(\d+) candidates refused \(([^)]*)\)`).FindStringSubmatch(err.Error())
+	if m == nil {
+		t.Fatalf("err=%q carries no refusal tally", err)
+	}
+	total, _ := strconv.Atoi(m[1])
+	if want := 2*frames + 1; total != want {
+		t.Fatalf("tally total %d, want %d candidates: %q", total, want, err)
+	}
+	sum := 0
+	reasons := map[string]int{}
+	for _, part := range strings.Split(m[2], ", ") {
+		i := strings.LastIndexByte(part, ' ')
+		n, convErr := strconv.Atoi(part[i+1:])
+		if i < 0 || convErr != nil {
+			t.Fatalf("malformed tally entry %q in %q", part, err)
+		}
+		reasons[part[:i]] = n
+		sum += n
+	}
+	if sum != total {
+		t.Fatalf("reasons sum to %d, total says %d: %q", sum, total, err)
+	}
+	if reasons["pinned"] == 0 || reasons["writer-held"] == 0 {
+		t.Fatalf("tally %v lacks the pinned and writer-held frames: %q", reasons, err)
+	}
+	for _, r := range refs {
+		r.Release()
+	}
+}
+
 func TestReleasePanicsTwice(t *testing.T) {
 	p := newTestPool(2, core.Config{})
 	s := p.NewSession()
@@ -172,6 +233,115 @@ func TestMarkDirtyOnReadRefPanics(t *testing.T) {
 		}
 	}()
 	r.MarkDirty()
+}
+
+// TestReclaimSkipsPinnedLowestRanked: under a frequency policy a pinned
+// page re-admitted by the victim exchange ranks lowest again, so the
+// exchange must move past every candidate it already found pinned instead
+// of cycling through them until the retry bound runs out while unpinned
+// frames exist. Two pinned cold pages cover both the page coming straight
+// back and two pages alternating.
+func TestReclaimSkipsPinnedLowestRanked(t *testing.T) {
+	for _, name := range []string{"lfu", "lru2"} {
+		p := New(Config{Frames: 4, PolicyFactory: replacer.Factories()[name], Device: storage.NewMemDevice()})
+		s := p.NewSession()
+		var cold []*PageRef // referenced once and kept pinned: the policy's first victims
+		for i := uint64(1); i <= 2; i++ {
+			r, err := p.Get(s, pid(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold = append(cold, r)
+		}
+		for round := 0; round < 3; round++ {
+			for i := uint64(3); i <= 4; i++ {
+				r, err := p.Get(s, pid(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Release()
+			}
+		}
+		r, err := p.Get(s, pid(5))
+		if err != nil {
+			t.Fatalf("%s: miss with two unpinned frames failed: %v", name, err)
+		}
+		r.Release()
+		for _, c := range cold {
+			c.Release()
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestInvalidateRacingMiss drives a miss for the page being invalidated
+// through the window between its policy and table removals. The miss must
+// not load and admit the page while the policy still counts it resident
+// (a double admission, which panics in the policy); it either completes
+// at once or waits on the claimed frame until invalidate finishes.
+func TestInvalidateRacingMiss(t *testing.T) {
+	p := newTestPool(4, core.Config{})
+	s := p.NewSession()
+	for i := uint64(1); i <= 3; i++ {
+		r, err := p.Get(s, pid(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	}
+
+	var armed atomic.Bool
+	var sawClaimed sync.Once
+	claimed := make(chan struct{})
+	done := make(chan struct{})
+	var missErr error
+	var missPanic any
+	miss := func() {
+		defer close(done)
+		defer func() { missPanic = recover() }()
+		r, err := p.Get(p.NewSession(), pid(1))
+		if err != nil {
+			missErr = err
+			return
+		}
+		r.Release()
+	}
+	// The hook runs on the test goroutine (inside Invalidate, holding no
+	// lock), so it may fail the test directly: a panicking miss can leave
+	// the policy lock held, and Invalidate would then never return.
+	restore := sched.SetHook(func(pt sched.Point) {
+		switch {
+		case pt == sched.BufInvalidateRemove && armed.CompareAndSwap(true, false):
+			go miss()
+			select {
+			case <-done: // the miss ran entirely inside the window
+				if missPanic != nil {
+					t.Fatalf("miss racing invalidate panicked: %v", missPanic)
+				}
+			case <-claimed: // the miss found the claimed frame and must wait
+			}
+		case pt == sched.BufHitPin:
+			sawClaimed.Do(func() { close(claimed) })
+		}
+	})
+	defer restore()
+
+	armed.Store(true)
+	if err := p.Invalidate(pid(1)); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if missPanic != nil {
+		t.Fatalf("miss racing invalidate panicked: %v", missPanic)
+	}
+	if missErr != nil {
+		t.Fatalf("miss racing invalidate: %v", missErr)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestInvalidate(t *testing.T) {
@@ -202,7 +372,7 @@ func TestInvalidate(t *testing.T) {
 
 func TestFlushDirty(t *testing.T) {
 	dev := storage.NewMemDevice()
-	p := New(Config{Frames: 4, Policy: replacer.NewLRU(4), Device: dev})
+	p := New(Config{Frames: 4, PolicyFactory: replacer.Factories()["lru"], Device: dev})
 	s := p.NewSession()
 	for i := uint64(1); i <= 3; i++ {
 		r, _ := p.GetWrite(s, pid(i))
@@ -292,10 +462,10 @@ func TestConcurrentChurnIntegrity(t *testing.T) {
 	// must observe either the stamp or the last written content.
 	const frames = 32
 	p := New(Config{
-		Frames:  frames,
-		Policy:  replacer.NewTwoQ(frames),
-		Wrapper: core.Config{Batching: true, Prefetching: true, QueueSize: 16, BatchThreshold: 8},
-		Device:  storage.NewMemDevice(),
+		Frames:        frames,
+		PolicyFactory: replacer.Factories()["2q"],
+		Wrapper:       core.Config{Batching: true, Prefetching: true, QueueSize: 16, BatchThreshold: 8},
+		Device:        storage.NewMemDevice(),
 	})
 	const workers = 8
 	var wg sync.WaitGroup
@@ -355,10 +525,10 @@ func TestValidatorDropsRecycledFrames(t *testing.T) {
 	// can recycle a frame that a first session has queued hits against.
 	// The commit-time BufferTag validation (Section IV-B) must drop them.
 	p := New(Config{
-		Frames:  2,
-		Policy:  replacer.NewLRU(2),
-		Wrapper: core.Config{Batching: true, QueueSize: 32, BatchThreshold: 32},
-		Device:  storage.NewMemDevice(),
+		Frames:        2,
+		PolicyFactory: replacer.Factories()["lru"],
+		Wrapper:       core.Config{Batching: true, QueueSize: 32, BatchThreshold: 32},
+		Device:        storage.NewMemDevice(),
 	})
 	s1 := p.NewSession()
 	s2 := p.NewSession()
@@ -398,10 +568,10 @@ func TestValidatorDropsRecycledFrames(t *testing.T) {
 func TestPoolConfigValidation(t *testing.T) {
 	dev := storage.NewMemDevice()
 	for _, cfg := range []Config{
-		{Frames: 0, Policy: replacer.NewLRU(4), Device: dev},
-		{Frames: 4, Policy: nil, Device: dev},
-		{Frames: 4, Policy: replacer.NewLRU(2), Device: dev}, // policy too small
-		{Frames: 4, Policy: replacer.NewLRU(4), Device: nil},
+		{Frames: 0, PolicyFactory: replacer.Factories()["lru"], Device: dev},
+		{Frames: 4, PolicyFactory: nil, Device: dev},
+		{Frames: 4, PolicyFactory: func(int) replacer.Policy { return replacer.NewLRU(2) }, Device: dev}, // policy too small
+		{Frames: 4, PolicyFactory: replacer.Factories()["lru"], Device: nil},
 	} {
 		func() {
 			defer func() {
@@ -425,10 +595,10 @@ func TestGetInvalidPage(t *testing.T) {
 func TestClockPoolLockFreeHits(t *testing.T) {
 	// The pgClock configuration: hits must not acquire the policy lock.
 	p := New(Config{
-		Frames:  16,
-		Policy:  replacer.NewClock(16),
-		Wrapper: core.Config{},
-		Device:  storage.NewMemDevice(),
+		Frames:        16,
+		PolicyFactory: replacer.Factories()["clock"],
+		Wrapper:       core.Config{},
+		Device:        storage.NewMemDevice(),
 	})
 	ids := make([]page.PageID, 16)
 	for i := range ids {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -631,7 +633,7 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 func (sh *shard) recycle(a *reqtrace.Active, victim page.PageID) {
 	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
 		if victim.Valid() {
-			if f, ok := sh.reclaim(a, victim); ok {
+			if f, _ := sh.reclaim(a, victim); f != nil {
 				f.toFree()
 				sh.freeMu.Lock()
 				sh.freeList = append(sh.freeList, f)
@@ -640,7 +642,7 @@ func (sh *shard) recycle(a *reqtrace.Active, victim page.PageID) {
 			}
 		}
 		runtime.Gosched()
-		v, ok := sh.nextVictim(victim, page.InvalidPageID)
+		v, ok := sh.nextVictim(victim, page.InvalidPageID, nil)
 		if !ok {
 			return // nothing evictable; the shard is simply over-admitted by pins
 		}
@@ -679,8 +681,12 @@ func (sh *shard) acquireFrame(a *reqtrace.Active, sub *core.Session, id page.Pag
 // twice the shard size, after which every buffer is presumed pinned —
 // or, when the dirty quarantine is saturated (so dirty victims are being
 // refused rather than pinned), ErrQuarantineFull distinguishes overload
-// from a genuinely over-pinned pool.
+// from a genuinely over-pinned pool. Either error carries the tally of
+// why each candidate was refused.
 func (sh *shard) reclaimLoop(a *reqtrace.Active, id, victim page.PageID) (*Frame, error) {
+	var refused refusalTally
+	var skip [reclaimSkip]page.PageID // the most recently refused distinct candidates
+	nskip := 0
 	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
 		if sh.sealed.Load() {
 			// A topology swap landed mid-load: stealPage is draining this
@@ -690,8 +696,14 @@ func (sh *shard) reclaimLoop(a *reqtrace.Active, id, victim page.PageID) (*Frame
 			return nil, errResharded
 		}
 		if victim.Valid() {
-			if f, ok := sh.reclaim(a, victim); ok {
+			f, why := sh.reclaim(a, victim)
+			if f != nil {
 				return f, nil
+			}
+			refused[why]++
+			if !slices.Contains(skip[:min(nskip, reclaimSkip)], victim) {
+				skip[nskip%reclaimSkip] = victim
+				nskip++
 			}
 		}
 		// Victim unusable (pinned, mid-load, or none yet): let the pinning
@@ -700,13 +712,13 @@ func (sh *shard) reclaimLoop(a *reqtrace.Active, id, victim page.PageID) (*Frame
 		// ever lets an unpin happen — then exchange the victim for a
 		// different candidate under the policy lock.
 		runtime.Gosched()
-		v, ok := sh.nextVictim(victim, id)
+		v, ok := sh.nextVictim(victim, id, skip[:min(nskip, reclaimSkip)])
 		if !ok {
-			return nil, sh.reclaimFailure()
+			return nil, sh.reclaimFailure(refused)
 		}
 		victim = v
 	}
-	return nil, sh.reclaimFailure()
+	return nil, sh.reclaimFailure(refused)
 }
 
 // reclaimFailure picks the error for an exhausted reclaim. A shard sealed
@@ -715,24 +727,69 @@ func (sh *shard) reclaimLoop(a *reqtrace.Active, id, victim page.PageID) (*Frame
 // means the pages moved, not that they are pinned; the caller retries
 // against the new topology. Otherwise a saturated quarantine means dirty
 // evictions were refused for durability-bound reasons, not that every
-// buffer is pinned.
-func (sh *shard) reclaimFailure() error {
+// buffer is pinned. The sentinel is wrapped with the refusal tally.
+func (sh *shard) reclaimFailure(refused refusalTally) error {
 	if sh.sealed.Load() {
 		return errResharded
 	}
+	err := ErrNoUnpinnedBuffers
 	if sh.quarantineFull() {
-		return ErrQuarantineFull
+		err = ErrQuarantineFull
 	}
-	return ErrNoUnpinnedBuffers
+	return fmt.Errorf("%w: %v", err, refused)
 }
+
+// refusal is why reclaim turned a victim candidate down.
+type refusal uint8
+
+const (
+	reclaimed         refusal = iota // not refused: the frame was claimed
+	refusedPinned                    // pinned, or claimed by another reclaim or load
+	refusedWriter                    // a writer holds the frame
+	refusedMidLoad                   // no table entry: the page is still loading
+	refusedRetagged                  // the frame now holds a different page
+	refusedQuarantine                // dirty, and the quarantine is full
+	numRefusals
+)
+
+var refusalNames = [numRefusals]string{"", "pinned", "writer-held", "mid-load", "retagged", "quarantine-full"}
+
+// refusalTally counts an exhausted reclaim's refused candidates by reason.
+type refusalTally [numRefusals]int
+
+// String renders the tally as "N candidates refused (pinned P, mid-load M)",
+// listing only the reasons that occurred.
+func (t refusalTally) String() string {
+	var total int
+	var parts []string
+	for r, n := range t {
+		if n > 0 {
+			total += n
+			parts = append(parts, fmt.Sprintf("%s %d", refusalNames[r], n))
+		}
+	}
+	return fmt.Sprintf("%d candidates refused (%s)", total, strings.Join(parts, ", "))
+}
+
+// reclaimSkip bounds how many refused candidates one reclaim remembers and
+// walks past. A shard's sessions hold few pins at once, so a handful covers
+// them, and the bound keeps each exchange to a few policy operations even
+// when every frame is pinned.
+const reclaimSkip = 8
 
 // nextVictim re-admits a wrongly evicted page prev (its frame turned out to
 // be pinned) and returns the replacement victim the policy chose instead;
 // with an invalid prev it simply asks the policy to evict one more page.
+// Candidates in skip (refused earlier by the same reclaim) are walked past
+// and re-admitted: a policy that ranks a fresh admission lowest (LFU,
+// LRU-2) would otherwise hand the re-admitted pinned pages straight back,
+// and the exchange would cycle through them until the retry bound ran out
+// while unpinned frames sat idle. Only when every remaining candidate is in
+// skip is the first of them returned again.
 // protect is the page currently being loaded: if the exchange throws it
 // out, it is immediately re-admitted so its residency survives (Admit never
 // returns the page it admits, so this terminates).
-func (sh *shard) nextVictim(prev, protect page.PageID) (page.PageID, bool) {
+func (sh *shard) nextVictim(prev, protect page.PageID, skip []page.PageID) (page.PageID, bool) {
 	var victim page.PageID
 	var evicted bool
 	sh.wrapper.Locked(func(pol replacer.Policy) {
@@ -749,6 +806,21 @@ func (sh *shard) nextVictim(prev, protect page.PageID) (page.PageID, bool) {
 			// prev was re-admitted by a concurrent loader (or there is no
 			// prev): take a fresh victim without admitting anything.
 			victim, evicted = pol.Evict()
+		}
+		var held [reclaimSkip]page.PageID
+		n := 0
+		for evicted && n < len(held) && slices.Contains(skip, victim) {
+			held[n] = victim
+			n++
+			victim, evicted = pol.Evict()
+		}
+		readmit := held[:n]
+		if !evicted && n > 0 {
+			victim, evicted = held[0], true
+			readmit = held[1:n]
+		}
+		for _, h := range readmit {
+			pol.Admit(h) // the walk freed a slot for each: evicts nothing
 		}
 		if evicted && protect.Valid() && victim == protect {
 			victim, evicted = pol.Admit(protect)
@@ -779,28 +851,34 @@ func (sh *shard) nextVictim(prev, protect page.PageID) (page.PageID, bool) {
 // acknowledged write is never dropped. When the quarantine is already at
 // capacity the eviction is refused up front and the caller churns to
 // another (ideally clean) victim.
-func (sh *shard) reclaim(a *reqtrace.Active, victim page.PageID) (*Frame, bool) {
+//
+// On refusal the frame is nil and the reason says why; on success the
+// reason is reclaimed.
+func (sh *shard) reclaim(a *reqtrace.Active, victim page.PageID) (*Frame, refusal) {
 	b := sh.bucketFor(victim)
 	f := sh.lookupAny(b, victim)
 	if f == nil {
 		// Policy said resident but the table has no entry: the page is
 		// mid-load by another backend (its frame is claimed anyway).
-		return nil, false
+		return nil, refusedMidLoad
 	}
 	var s uint64
 	for {
 		s = f.state.Load()
-		if s&(frameRecycling|frameWLock) != 0 || s&framePinMask != 0 {
-			return nil, false
+		if s&frameWLock != 0 {
+			return nil, refusedWriter
+		}
+		if s&frameRecycling != 0 || s&framePinMask != 0 {
+			return nil, refusedPinned
 		}
 		if page.PageID(f.tagPage.Load()) != victim {
-			return nil, false
+			return nil, refusedRetagged
 		}
 		if s&frameDirty != 0 && sh.quarantineFull() {
 			// No room to guarantee durability for another dirty page; leave
 			// this frame untouched and let the caller try a different victim.
 			sh.quarRefusals.Add(1)
-			return nil, false
+			return nil, refusedQuarantine
 		}
 		if f.tryClaim(s) {
 			break
@@ -852,7 +930,7 @@ func (sh *shard) reclaim(a *reqtrace.Active, victim page.PageID) (*Frame, bool) 
 			sh.writeBackFailures.Add(1)
 		}
 	}
-	return f, true
+	return f, reclaimed
 }
 
 // writeQuarantined makes the quarantined copy of id durable and resolves
@@ -1044,15 +1122,21 @@ func (sh *shard) invalidate(id page.PageID) error {
 		}
 	}
 
+	// Leave the policy before the table: while the claimed frame is still
+	// in the table, a concurrent miss for id cannot start a load (it finds
+	// the frame and retries), so it can never install the page and
+	// MissAdmit it while the policy still counts it resident.
+	sh.wrapper.Locked(func(pol replacer.Policy) {
+		pol.Remove(id)
+	})
+	sched.Yield(sched.BufInvalidateRemove)
+
 	sh.lockBucket(b)
 	b.removeLocked(id)
 	b.mu.Unlock()
 
 	sh.purgeQuarantine(id)
 
-	sh.wrapper.Locked(func(pol replacer.Policy) {
-		pol.Remove(id)
-	})
 	f.toFree()
 	sh.freeMu.Lock()
 	sh.freeList = append(sh.freeList, f)

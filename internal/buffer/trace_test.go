@@ -43,7 +43,7 @@ func phaseSet(spans []reqtrace.Span) map[reqtrace.Phase]bool {
 // acquisition, and the device read; the hit shows probe and pin only.
 func TestPoolTraceLatencyDecomposition(t *testing.T) {
 	p := New(Config{
-		Frames: 4, Policy: replacer.NewLRU(4),
+		Frames: 4, PolicyFactory: replacer.Factories()["lru"],
 		Device: storage.NewMemDevice(),
 		Trace: reqtrace.Config{
 			Enable: true, SampleEvery: 1, SLO: time.Hour, Clock: traceClock(),
@@ -125,7 +125,7 @@ func (d *flakyWriteDevice) WritePage(p *page.Page) error {
 func TestQuarantineCrossThreadWriteBack(t *testing.T) {
 	dev := &flakyWriteDevice{Device: storage.NewMemDevice()}
 	p := New(Config{
-		Frames: 2, Policy: replacer.NewLRU(2),
+		Frames: 2, PolicyFactory: replacer.Factories()["lru"],
 		Device: dev,
 		Trace: reqtrace.Config{
 			Enable: true, SampleEvery: 1, SLO: time.Hour, Clock: traceClock(),

@@ -62,10 +62,10 @@ func TestStaleWriteBackCannotRevertNewerWrite(t *testing.T) {
 	fault := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	gate := newGateDevice(fault)
 	p := New(Config{
-		Frames:  4,
-		Policy:  replacer.NewLRU(4),
-		Wrapper: core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
-		Device:  gate,
+		Frames:        4,
+		PolicyFactory: replacer.Factories()["lru"],
+		Wrapper:       core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
+		Device:        gate,
 	})
 	s := p.NewSession()
 
@@ -160,10 +160,10 @@ func TestFlushParksBeforeClearingDirty(t *testing.T) {
 	mem := storage.NewMemDevice()
 	gate := newGateDevice(mem)
 	p := New(Config{
-		Frames:  4,
-		Policy:  replacer.NewLRU(4),
-		Wrapper: core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
-		Device:  gate,
+		Frames:        4,
+		PolicyFactory: replacer.Factories()["lru"],
+		Wrapper:       core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
+		Device:        gate,
 	})
 	s := p.NewSession()
 
@@ -268,7 +268,7 @@ func TestFlushRespectsQuarantineCap(t *testing.T) {
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	p := New(Config{
 		Frames:        4,
-		Policy:        replacer.NewLRU(4),
+		PolicyFactory: replacer.Factories()["lru"],
 		Device:        dev,
 		QuarantineCap: 1,
 		// A full quarantine flips the shard read-only under health

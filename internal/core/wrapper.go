@@ -32,7 +32,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -73,13 +72,6 @@ type Config struct {
 	// clamped to [1, QueueSize]. Ignored unless Batching is set.
 	BatchThreshold int
 
-	// SharedQueue switches the batching queue from one-per-session to a
-	// single queue shared by all sessions (guarded by its own mutex). The
-	// paper rejects this design for its synchronization cost and loss of
-	// per-thread access ordering (Section III-A); it is implemented here for
-	// the ablation experiment that verifies that argument.
-	SharedQueue bool
-
 	// FlatCombining replaces the TryLock-or-keep-accumulating commit
 	// protocol with flat combining (see combine.go): at the batch
 	// threshold a session publishes its batch in a per-session,
@@ -88,8 +80,7 @@ type Config struct {
 	// failure it swaps to a spare buffer and keeps recording, never
 	// blocking, because the current lock holder drains its slot. The
 	// blocking fall-back fires only when both the published batch and the
-	// recording queue are full. Ignored unless Batching is set;
-	// incompatible with SharedQueue (SharedQueue wins).
+	// recording queue are full. Ignored unless Batching is set.
 	FlatCombining bool
 
 	// AdaptiveThreshold lets each session tune its own batch threshold at
@@ -101,7 +92,7 @@ type Config struct {
 	// it after a run of first-attempt TryLock successes (it can afford
 	// bigger batches). The threshold moves within
 	// [QueueSize/8, 3·QueueSize/4], starting from BatchThreshold.
-	// Ignored unless Batching is set; incompatible with SharedQueue.
+	// Ignored unless Batching is set.
 	AdaptiveThreshold bool
 
 	// Validate, when non-nil, is consulted at commit time for each queued
@@ -146,11 +137,6 @@ func (c Config) withDefaults() Config {
 		c.BatchThreshold = c.QueueSize
 	}
 	if !c.Batching {
-		c.FlatCombining = false
-	}
-	if c.SharedQueue {
-		// The shared queue has no per-session state to adapt or publish.
-		c.AdaptiveThreshold = false
 		c.FlatCombining = false
 	}
 	return c
@@ -273,8 +259,7 @@ type Wrapper struct {
 
 	cfg Config
 
-	shared *sharedQueue // non-nil iff cfg.SharedQueue
-	fc     *combiner    // non-nil iff cfg.FlatCombining
+	fc *combiner // non-nil iff cfg.FlatCombining
 
 	events *obs.Recorder    // nil-safe flight recorder (cfg.Events)
 	tracer *reqtrace.Tracer // nil-safe request tracer (cfg.Tracer)
@@ -356,12 +341,6 @@ func New(policy replacer.Policy, cfg Config) *Wrapper {
 		}
 	}
 	w.lock.SetProfile(profile)
-	if cfg.SharedQueue && cfg.Batching {
-		w.shared = &sharedQueue{
-			entries: make([]Entry, 0, cfg.QueueSize),
-			spare:   make([]Entry, 0, cfg.QueueSize),
-		}
-	}
 	if cfg.FlatCombining {
 		w.fc = &combiner{}
 	}
@@ -539,7 +518,7 @@ func (w *Wrapper) CheckInvariants() error {
 // goroutines.
 func (w *Wrapper) NewSession() *Session {
 	s := &Session{w: w, id: w.sessionIDs.Add(1)}
-	if w.cfg.Batching && !w.cfg.SharedQueue {
+	if w.cfg.Batching {
 		s.queue = make([]Entry, 0, w.cfg.QueueSize)
 	}
 	if w.fc != nil {
@@ -560,7 +539,7 @@ const foldInterval = 1024
 type Session struct {
 	w     *Wrapper
 	id    uint64  // wrapper-unique identity, named by handoff spans
-	queue []Entry // nil when batching is off or the shared queue is in use
+	queue []Entry // nil when batching is off
 
 	// trace is the request-trace context shared with the owning pool
 	// session (SetTrace); nil disables span stamping. All Active methods
@@ -717,13 +696,6 @@ func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 		s.fold()
 		return
 	}
-	if w.shared != nil {
-		w.shared.record(w, s, Entry{ID: id, Tag: tag})
-		// The shared queue is the rejected, always-contending design; its
-		// sessions have no private commit boundary, so fold every access.
-		s.fold()
-		return
-	}
 	s.queue = append(s.queue, Entry{ID: id, Tag: tag})
 	if len(s.queue) < s.Threshold() {
 		return
@@ -747,14 +719,7 @@ func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, 
 	w := s.w
 	s.note(false)
 	s.fold()
-	var pending []Entry
-	var stolen sqTraceCtx
-	switch {
-	case w.shared != nil:
-		pending, stolen = w.shared.steal()
-	case s.queue != nil:
-		pending = s.queue
-	}
+	pending := s.queue
 	if pf := w.box.Load().prefetcher; pf != nil {
 		s.pf = prefetchInto(pf, s.pf, pending, id)
 	}
@@ -776,13 +741,9 @@ func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, 
 	}
 	w.lock.Unlock()
 	s.trace.Span(reqtrace.PhasePolicyOp, -1, t1, s.trace.Now()-t1, uint64(len(pending)), uint64(id))
-	w.emitSharedHandoff(stolen, s)
 	if len(pending) > 0 {
 		w.cc.commits.Add(1)
 		w.batchSizes.Observe(len(pending))
-	}
-	if w.shared != nil {
-		w.shared.release(pending)
 	}
 	if s.queue != nil {
 		s.queue = s.queue[:0]
@@ -805,14 +766,7 @@ func (s *Session) MissBegin(id page.PageID, tag page.BufferTag) (victim page.Pag
 	w := s.w
 	s.note(false)
 	s.fold()
-	var pending []Entry
-	var stolen sqTraceCtx
-	switch {
-	case w.shared != nil:
-		pending, stolen = w.shared.steal()
-	case s.queue != nil:
-		pending = s.queue
-	}
+	pending := s.queue
 	if pf := w.box.Load().prefetcher; pf != nil {
 		s.pf = prefetchInto(pf, s.pf, pending, id)
 	}
@@ -833,13 +787,9 @@ func (s *Session) MissBegin(id page.PageID, tag page.BufferTag) (victim page.Pag
 	}
 	w.lock.Unlock()
 	s.trace.Span(reqtrace.PhasePolicyOp, -1, t1, s.trace.Now()-t1, uint64(len(pending)), uint64(id))
-	w.emitSharedHandoff(stolen, s)
 	if len(pending) > 0 {
 		w.cc.commits.Add(1)
 		w.batchSizes.Observe(len(pending))
-	}
-	if w.shared != nil {
-		w.shared.release(pending)
 	}
 	if s.queue != nil {
 		s.queue = s.queue[:0]
@@ -866,25 +816,6 @@ func (s *Session) MissAdmit(id page.PageID) (victim page.PageID, evicted bool) {
 func (s *Session) Flush() {
 	w := s.w
 	s.fold()
-	if w.shared != nil {
-		pending, stolen := w.shared.steal()
-		if len(pending) == 0 {
-			return
-		}
-		if pf := w.box.Load().prefetcher; pf != nil {
-			s.pf = prefetchInto(pf, s.pf, pending, page.InvalidPageID)
-		}
-		w.lock.Lock()
-		for _, e := range pending {
-			w.applyHit(e)
-		}
-		w.lock.Unlock()
-		w.emitSharedHandoff(stolen, s)
-		w.cc.commits.Add(1)
-		w.batchSizes.Observe(len(pending))
-		w.shared.release(pending)
-		return
-	}
 	if w.fc != nil {
 		s.fcFlush()
 		return
@@ -899,9 +830,6 @@ func (s *Session) Flush() {
 // queue (including, under flat combining, a published batch not yet
 // drained by a combiner); used by tests and diagnostics.
 func (s *Session) Pending() int {
-	if s.w.shared != nil {
-		return s.w.shared.pending()
-	}
 	n := len(s.queue)
 	if s.slot != nil && s.slot.pub.Load() != nil {
 		// The batch still sitting in the slot is the one this session last
@@ -1001,156 +929,4 @@ func prefetchInto(pf replacer.Prefetcher, buf []page.PageID, entries []Entry, ex
 	}
 	pf.Prefetch(ids)
 	return ids
-}
-
-// sqTraceCtx is the publisher trace context carried with a shared-queue
-// batch: which traced request recorded into the batch, when, and from
-// which session. The shared queue interleaves all sessions' accesses, so
-// the context is the LAST traced recorder — a best-effort attribution
-// matching the design's own ambiguity (the paper rejects this queue
-// partly because per-thread ordering is lost).
-type sqTraceCtx struct {
-	id   uint64 // trace ID (0: no traced recorder in this batch)
-	at   int64  // when the traced access was recorded
-	sess uint64 // recording session's ID
-}
-
-// emitSharedHandoff emits the cross-thread handoff span for a stolen
-// shared-queue batch, attributing the enqueue→apply wait to the last
-// traced recorder's trace.
-func (w *Wrapper) emitSharedHandoff(tc sqTraceCtx, applier *Session) {
-	if w.tracer == nil || tc.id == 0 {
-		return
-	}
-	w.tracer.Emit(reqtrace.Span{
-		Trace: tc.id, Phase: reqtrace.PhaseEnqueue, Shard: -1,
-		Flags: reqtrace.FlagCross,
-		Start: tc.at, Dur: w.tracer.Now() - tc.at,
-		Arg1: w.combineRunIDs.Add(1), Arg2: reqtrace.PackHandoff(tc.sess, applier.id),
-	})
-}
-
-// sharedQueue is the rejected alternative design of Section III-A: one
-// FIFO queue shared by all sessions, with its own mutex. Implemented only
-// for the ablation experiment. Batches are recycled through the spare
-// buffer so steady-state commits do not allocate.
-type sharedQueue struct {
-	mu      sync.Mutex
-	entries []Entry
-	spare   []Entry    // recycled batch buffer (nil while a batch is in flight)
-	tc      sqTraceCtx // trace context of the accumulating batch
-}
-
-// record appends an entry; when the wrapper's threshold is reached the
-// caller attempts a commit following the same TryLock protocol.
-func (q *sharedQueue) record(w *Wrapper, s *Session, e Entry) {
-	q.mu.Lock()
-	q.entries = append(q.entries, e)
-	if tid := s.trace.ID(); tid != 0 {
-		q.tc = sqTraceCtx{id: tid, at: s.trace.Now(), sess: s.id}
-	}
-	n := len(q.entries)
-	if n < w.cfg.BatchThreshold {
-		q.mu.Unlock()
-		return
-	}
-	full := n >= w.cfg.QueueSize
-	// Take the batch out while still holding the queue mutex so no other
-	// session commits the same entries; recording continues in the spare
-	// buffer.
-	batch, tc := q.takeLocked()
-	q.mu.Unlock()
-
-	if pf := w.box.Load().prefetcher; pf != nil {
-		s.pf = prefetchInto(pf, s.pf, batch, page.InvalidPageID)
-	}
-	if full {
-		w.lock.Lock()
-		w.cc.forcedLocks.Add(1)
-		w.events.Record(obs.EvForcedLock, uint64(len(batch)), 0)
-	} else if w.lock.TryLock() {
-		w.cc.tryCommits.Add(1)
-		w.events.Record(obs.EvCommit, uint64(len(batch)), 0)
-	} else {
-		// Lock busy: put the batch back (in front — it is older than
-		// anything recorded meanwhile) and keep accumulating. The stolen
-		// trace context rides back too so the eventual drain still emits
-		// its handoff span.
-		w.events.Record(obs.EvTryFail, uint64(len(batch)), 0)
-		q.requeue(batch, tc)
-		return
-	}
-	for _, e := range batch {
-		w.applyHit(e)
-	}
-	w.lock.Unlock()
-	w.emitSharedHandoff(tc, s)
-	w.cc.commits.Add(1)
-	w.batchSizes.Observe(len(batch))
-	q.release(batch)
-}
-
-// takeLocked removes and returns the queued entries with their trace
-// context, leaving the spare buffer recording. Callers must hold q.mu and
-// must hand the returned batch to release or requeue when done.
-func (q *sharedQueue) takeLocked() ([]Entry, sqTraceCtx) {
-	batch, tc := q.entries, q.tc
-	q.tc = sqTraceCtx{}
-	if q.spare != nil {
-		q.entries = q.spare[:0]
-		q.spare = nil
-	} else {
-		// The other buffer is in flight with another session; a fresh one
-		// enters the rotation.
-		q.entries = make([]Entry, 0, cap(batch))
-	}
-	return batch, tc
-}
-
-// steal removes and returns all queued entries; the caller must pass the
-// batch to release after applying it.
-func (q *sharedQueue) steal() ([]Entry, sqTraceCtx) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.entries) == 0 {
-		return nil, sqTraceCtx{}
-	}
-	return q.takeLocked()
-}
-
-// release returns a drained batch buffer to the rotation.
-func (q *sharedQueue) release(batch []Entry) {
-	if batch == nil {
-		return
-	}
-	q.mu.Lock()
-	if q.spare == nil {
-		q.spare = batch[:0]
-	}
-	q.mu.Unlock()
-}
-
-// requeue puts an uncommitted batch back at the front of the queue without
-// permanently growing the rotation: the rebuilt queue lives in the batch's
-// buffer and the previous recording buffer becomes the spare. The batch's
-// trace context is restored unless a newer traced access arrived meanwhile.
-func (q *sharedQueue) requeue(batch []Entry, tc sqTraceCtx) {
-	q.mu.Lock()
-	recorded := q.entries
-	batch = append(batch, recorded...)
-	q.entries = batch
-	if q.tc.id == 0 {
-		q.tc = tc
-	}
-	if q.spare == nil {
-		q.spare = recorded[:0]
-	}
-	q.mu.Unlock()
-}
-
-// pending returns the current queue length.
-func (q *sharedQueue) pending() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.entries)
 }

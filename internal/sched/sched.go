@@ -61,6 +61,9 @@ const (
 	// BufBucketWrite: a bucket writer has bumped the seqlock to odd and is
 	// about to mutate the slot array.
 	BufBucketWrite
+	// BufInvalidateRemove: invalidate has removed a claimed page from the
+	// policy and is about to delete its table entry.
+	BufInvalidateRemove
 
 	// NumPoints is the number of instrumented sites.
 	NumPoints

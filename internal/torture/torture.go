@@ -13,10 +13,9 @@
 //
 // The harness runs the same seeded multi-session trace through every
 // commit path — direct locking (no batching), the paper's batched
-// TryLock-or-block protocol, the shared-queue ablation, and the
-// flat-combining extension — against a *checker policy* that records the
-// exact sequence of accesses it is shown, then replays the log against a
-// sequential oracle. Every failure message carries the trace seed, and in
+// TryLock-or-block protocol, and the flat-combining extension — against a
+// *checker policy* that records the exact sequence of accesses it is
+// shown, then replays the log against a sequential oracle. Every failure message carries the trace seed, and in
 // deterministic mode (one driving goroutine, seeded round-robin schedule)
 // the interleaving is a pure function of the seed, so failures replay
 // exactly. Concurrent mode adds real goroutines plus seeded yield
@@ -189,12 +188,11 @@ type Path string
 const (
 	PathDirect Path = "direct" // Batching off: one lock acquisition per access
 	PathBatch  Path = "batch"  // the paper's TryLock-at-threshold protocol
-	PathShared Path = "shared" // the rejected shared-queue ablation
 	PathFC     Path = "fc"     // flat-combining commit path
 )
 
 // Paths lists every commit path the differential runs compare.
-func Paths() []Path { return []Path{PathDirect, PathBatch, PathShared, PathFC} }
+func Paths() []Path { return []Path{PathDirect, PathBatch, PathFC} }
 
 // configFor maps a path to its wrapper configuration. Small queues keep
 // the batching machinery busy on short traces.
@@ -204,9 +202,6 @@ func configFor(p Path, queueSize int) core.Config {
 	case PathDirect:
 	case PathBatch:
 		cfg.Batching = true
-	case PathShared:
-		cfg.Batching = true
-		cfg.SharedQueue = true
 	case PathFC:
 		cfg.Batching = true
 		cfg.FlatCombining = true

@@ -13,6 +13,22 @@ func failSeed(t *testing.T, seed int64, err error) {
 	t.Fatalf("%v (%s)", err, ReportSeed(seed))
 }
 
+// longSlot is a commit path's fixed position in the long-mode matrices,
+// which derive each arm's seed and options from it. Slot 2 belonged to the
+// retired shared-queue path; keeping the gap replays every surviving arm
+// unchanged.
+func longSlot(p Path) int {
+	switch p {
+	case PathDirect:
+		return 0
+	case PathBatch:
+		return 1
+	case PathFC:
+		return 3
+	}
+	panic("torture: unknown path " + string(p))
+}
+
 // TestDeterministicOracleAllPaths replays one seeded trace through every
 // commit path on a single goroutine and checks the full oracle: order
 // preservation, exactly-once application, hit/miss flavour, lag bound,
@@ -223,7 +239,8 @@ func TestPoolTorture(t *testing.T) {
 	}
 	if LongMode() {
 		for i, pol := range []string{"lru", "2q", "lirs", "mq", "arc", "car", "clockpro", "seq"} {
-			for j, path := range Paths() {
+			for _, path := range Paths() {
+				j := longSlot(path)
 				cases = append(cases, cse{
 					"long-" + pol + "-" + string(path),
 					PoolRunConfig{
@@ -268,11 +285,11 @@ func TestPoolTortureSharded(t *testing.T) {
 	cases := []cse{
 		{"shards4-lru-batch-faults", PoolRunConfig{Seed: seed, Path: PathBatch, Policy: "lru", Shards: 4, Faults: true}},
 		{"shards4-2q-fc-faults-bg", PoolRunConfig{Seed: seed + 1, Path: PathFC, Policy: "2q", Shards: 4, Faults: true, BGWriter: true}},
-		{"shards2-clockpro-shared", PoolRunConfig{Seed: seed + 2, Path: PathShared, Policy: "clockpro", Shards: 2}},
 	}
 	if LongMode() {
 		for i, pol := range []string{"lru", "2q", "lirs", "arc", "clockpro"} {
-			for j, path := range Paths() {
+			for _, path := range Paths() {
+				j := longSlot(path)
 				for _, shards := range []int{2, 4, 8} {
 					cases = append(cases, cse{
 						fmt.Sprintf("long-shards%d-%s-%s", shards, pol, path),
@@ -344,7 +361,8 @@ func TestPoolTortureReshard(t *testing.T) {
 	}
 	if LongMode() {
 		for i, pol := range []string{"lru", "2q", "lirs", "clockpro"} {
-			for j, path := range Paths() {
+			for _, path := range Paths() {
+				j := longSlot(path)
 				cases = append(cases, cse{
 					fmt.Sprintf("long-%s-%s", pol, path),
 					PoolRunConfig{
@@ -400,10 +418,10 @@ func TestPoolTortureHitPath(t *testing.T) {
 		{"direct-lru", PoolRunConfig{Seed: seed, Path: PathDirect, Policy: "lru"}},
 		{"batch-2q-shards4", PoolRunConfig{Seed: seed + 1, Path: PathBatch, Policy: "2q", Shards: 4}},
 		{"fc-clockpro-bg", PoolRunConfig{Seed: seed + 2, Path: PathFC, Policy: "clockpro", BGWriter: true}},
-		{"shared-lru-shards2", PoolRunConfig{Seed: seed + 3, Path: PathShared, Policy: "lru", Shards: 2}},
 	}
 	if LongMode() {
-		for j, path := range Paths() {
+		for _, path := range Paths() {
+			j := longSlot(path)
 			for _, shards := range []int{1, 4} {
 				cases = append(cases, cse{
 					fmt.Sprintf("long-shards%d-%s", shards, path),
@@ -425,6 +443,9 @@ func TestPoolTortureHitPath(t *testing.T) {
 			paths = Paths()
 		}
 		for i, path := range paths {
+			if LongMode() {
+				i = longSlot(path)
+			}
 			cfg := PoolRunConfig{
 				Seed: seed + int64(50+i), Path: path, Policy: "lru",
 				Shards: 2, YieldFrac: 0.2,

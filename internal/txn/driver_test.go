@@ -11,18 +11,18 @@ import (
 	"bpwrapper/internal/workload"
 )
 
-func testPool(frames int, policy replacer.Policy, wcfg core.Config) *buffer.Pool {
+func testPool(frames int, policy string, wcfg core.Config) *buffer.Pool {
 	return buffer.New(buffer.Config{
-		Frames:  frames,
-		Policy:  policy,
-		Wrapper: wcfg,
-		Device:  storage.NewMemDevice(),
+		Frames:        frames,
+		PolicyFactory: replacer.Factories()[policy],
+		Wrapper:       wcfg,
+		Device:        storage.NewMemDevice(),
 	})
 }
 
 func TestRunBasic(t *testing.T) {
 	w := workload.NewZipf(workload.SyntheticConfig{Pages: 200, TxnLen: 10})
-	pool := testPool(200, replacer.NewTwoQ(200), core.Config{Batching: true})
+	pool := testPool(200, "2q", core.Config{Batching: true})
 	if err := pool.Prewarm(w.Pages()); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRunBasic(t *testing.T) {
 
 func TestRunDuration(t *testing.T) {
 	w := workload.NewZipf(workload.SyntheticConfig{Pages: 100, TxnLen: 5})
-	pool := testPool(100, replacer.NewLRU(100), core.Config{})
+	pool := testPool(100, "lru", core.Config{})
 	pool.Prewarm(w.Pages())
 	start := time.Now()
 	res, err := Run(Config{
@@ -82,7 +82,7 @@ func TestRunDuration(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	w := workload.NewZipf(workload.SyntheticConfig{Pages: 10})
-	pool := testPool(10, replacer.NewLRU(10), core.Config{})
+	pool := testPool(10, "lru", core.Config{})
 	if _, err := Run(Config{Pool: pool, Workload: w}); err == nil {
 		t.Fatal("missing stop condition accepted")
 	}
@@ -98,7 +98,7 @@ func TestRunWithMisses(t *testing.T) {
 	// Buffer far smaller than data: the driver must survive constant
 	// eviction traffic and report a believable hit ratio.
 	w := workload.NewZipf(workload.SyntheticConfig{Pages: 2000, TxnLen: 10})
-	pool := testPool(100, replacer.NewTwoQ(100), core.Config{Batching: true, Prefetching: true})
+	pool := testPool(100, "2q", core.Config{Batching: true, Prefetching: true})
 	res, err := Run(Config{
 		Pool:          pool,
 		Workload:      w,
@@ -122,7 +122,7 @@ func TestRunContentionMetrics(t *testing.T) {
 	// Unbatched 2Q under heavy concurrency must record lock contention;
 	// that is the paper's whole premise.
 	w := workload.NewZipf(workload.SyntheticConfig{Pages: 500, TxnLen: 20})
-	pool := testPool(500, replacer.NewTwoQ(500), core.Config{})
+	pool := testPool(500, "2q", core.Config{})
 	pool.Prewarm(w.Pages())
 	res, err := Run(Config{
 		Pool:          pool,
@@ -145,7 +145,7 @@ func TestRunContentionMetrics(t *testing.T) {
 
 func TestDefaultWorkers(t *testing.T) {
 	w := workload.NewZipf(workload.SyntheticConfig{Pages: 50, TxnLen: 2})
-	pool := testPool(50, replacer.NewLRU(50), core.Config{})
+	pool := testPool(50, "lru", core.Config{})
 	res, err := Run(Config{
 		Pool:          pool,
 		Workload:      w,

@@ -53,15 +53,15 @@ func obsHitLoop(b *testing.B, rec *bpwrapper.Recorder) {
 // bpbench/bpload), or on with request tracing armed at the production
 // default sampling rate.
 func obsGuardPool(tb testing.TB, obsOn, traceOn bool) (*bpwrapper.Pool, *bpwrapper.PoolSession, []bpwrapper.PageID) {
-	policy, ok := bpwrapper.NewPolicy("2q", 1024)
+	factory, ok := bpwrapper.PolicyFactories()["2q"]
 	if !ok {
 		tb.Fatal("2q policy not registered")
 	}
 	cfg := bpwrapper.PoolConfig{
-		Frames:  1024,
-		Policy:  policy,
-		Wrapper: bpwrapper.WrapperConfig{Batching: true},
-		Device:  bpwrapper.NewMemDevice(),
+		Frames:        1024,
+		PolicyFactory: factory,
+		Wrapper:       bpwrapper.WrapperConfig{Batching: true},
+		Device:        bpwrapper.NewMemDevice(),
 	}
 	if obsOn {
 		cfg.RecorderSize = 4096
@@ -168,15 +168,15 @@ func TestObsOverheadGuard(t *testing.T) {
 // request in the loop is selected, a resident pool.Get must not allocate.
 // Unlike the timing guard this is deterministic, so it always runs.
 func TestTraceHitPathZeroAlloc(t *testing.T) {
-	policy, ok := bpwrapper.NewPolicy("2q", 1024)
+	factory, ok := bpwrapper.PolicyFactories()["2q"]
 	if !ok {
 		t.Fatal("2q policy not registered")
 	}
 	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
-		Frames:  1024,
-		Policy:  policy,
-		Wrapper: bpwrapper.WrapperConfig{Batching: true},
-		Device:  bpwrapper.NewMemDevice(),
+		Frames:        1024,
+		PolicyFactory: factory,
+		Wrapper:       bpwrapper.WrapperConfig{Batching: true},
+		Device:        bpwrapper.NewMemDevice(),
 		// A sampling interval far beyond the loop below: tracing is live
 		// but every one of these requests goes untraced.
 		Trace: bpwrapper.TraceConfig{Enable: true, SampleEvery: 1 << 30},
