@@ -169,6 +169,10 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		c("bpw_shed_total", "misses refused by admission control", l, float64(sh.shed.Load()))
 		c("bpw_health_transitions_total", "health state changes", l, float64(sh.healthTransitions.Load()))
 		c("bpw_quarantine_refusals_total", "dirty write-backs refused by the quarantine cap", l, float64(sh.quarRefusals.Load()))
+		for r := refusedPinned; r < numRefusals; r++ {
+			c("bpw_reclaim_refusals_total", "eviction candidates a reclaim refused, by reason",
+				append(l[:1:1], [2]string{"reason", refusalNames[r]}), float64(sh.reclaimRefusals[r].Load()))
+		}
 		g("bpw_miss_inflight", "admitted misses currently in flight", l, float64(sh.missInflight.Load()))
 		if sh.breaker != nil {
 			bst := sh.breaker.BreakerStats()

@@ -1,6 +1,9 @@
 package buffer
 
 import (
+	"errors"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -186,5 +189,71 @@ func TestCloseErrorCarriesFlightDump(t *testing.T) {
 	dev.FailNextWrites(0)
 	if err := p.Close(); err != nil {
 		t.Fatalf("pool not usable after failed close: %v", err)
+	}
+}
+
+// TestReclaimRefusalMetric exhausts a fully pinned pool and checks that
+// bpw_reclaim_refusals_total reports, reason by reason, exactly the tally
+// the exhausted reclaim's error carries.
+func TestReclaimRefusalMetric(t *testing.T) {
+	const frames = 4
+	p := newTestPool(frames, core.Config{})
+	s := p.NewSession()
+	var refs []*PageRef
+	for i := uint64(1); i < frames; i++ {
+		r, err := p.Get(s, pid(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, r)
+	}
+	w, err := p.GetWrite(s, pid(frames))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs = append(refs, w)
+	_, err = p.Get(s, pid(frames+1))
+	if !errors.Is(err, ErrNoUnpinnedBuffers) {
+		t.Fatalf("err=%v, want ErrNoUnpinnedBuffers", err)
+	}
+	m := regexp.MustCompile(`candidates refused \(([^)]*)\)`).FindStringSubmatch(err.Error())
+	if m == nil {
+		t.Fatalf("err=%q carries no refusal tally", err)
+	}
+	tally := map[string]int{}
+	for _, part := range strings.Split(m[1], ", ") {
+		i := strings.LastIndexByte(part, ' ')
+		n, convErr := strconv.Atoi(part[i+1:])
+		if i < 0 || convErr != nil {
+			t.Fatalf("malformed tally entry %q in %q", part, err)
+		}
+		tally[part[:i]] = n
+	}
+
+	reg := obs.NewRegistry()
+	p.RegisterObs(reg)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, reason := range refusalNames[refusedPinned:] {
+		series := `bpw_reclaim_refusals_total{shard="0",reason="` + reason + `"} `
+		i := strings.Index(out, series)
+		if i < 0 {
+			t.Fatalf("no series %s in:\n%s", series, out)
+		}
+		line := out[i+len(series):]
+		line = line[:strings.IndexByte(line, '\n')]
+		got, convErr := strconv.Atoi(line)
+		if convErr != nil {
+			t.Fatalf("series %s has value %q", series, line)
+		}
+		if got != tally[reason] {
+			t.Errorf("reason %s: metric %d, error tally %d (%q)", reason, got, tally[reason], err)
+		}
+	}
+	for _, r := range refs {
+		r.Release()
 	}
 }

@@ -255,6 +255,7 @@ func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
 		// we just took — but its write-back was not confirmed, so the page
 		// must leave here dirty even if the frame looked clean.
 		if q := sh.quarantineTake(id); q != nil {
+			q.release()
 			dirty = true
 		}
 		found = true
@@ -264,7 +265,8 @@ func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
 		// Not resident: an evicted-dirty page may still be parked in the
 		// quarantine with its write-back unconfirmed. Adopt it as dirty.
 		if q := sh.quarantineTake(id); q != nil {
-			*dst = *q
+			*dst = q.pg
+			q.release()
 			dirty, found = true, true
 		}
 	}
@@ -325,15 +327,11 @@ func (sh *shard) handOverQuarantine(id page.PageID, dst *shard) {
 	if resident {
 		return
 	}
-	sh.quarMu.Lock()
-	c := sh.quarantine[id]
-	delete(sh.quarantine, id)
-	delete(sh.quarTrace, id)
-	sh.quarMu.Unlock()
-	if c != nil {
+	if c := sh.quarantineTake(id); c != nil {
 		// The destination cap is a soft bound (same as concurrent
 		// evictions): durability wins over the bound during a handover.
 		dst.quarantinePut(id, c, nil)
+		c.release()
 	}
 }
 

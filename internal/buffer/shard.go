@@ -27,6 +27,43 @@ type quarCtx struct {
 	at    int64
 }
 
+// quarCopy is a quarantined page copy (DESIGN.md §6). Copies are recycled
+// through quarCopies instead of allocated per write-back, so each is
+// reference-counted. References are held by the quarantine map entry, by
+// the writer that created the copy until its writeQuarantined returns, and
+// by each drainQuarantine snapshot entry until its write returns. An
+// adopter takes the map's reference, copies the bytes out and releases it.
+// The last release recycles the copy. Every pointer-identity check against
+// a map entry is made by a reference holder, so a recycled copy can never
+// alias a live entry.
+type quarCopy struct {
+	pg   page.Page
+	refs atomic.Int32
+}
+
+var quarCopies = sync.Pool{New: func() any { return new(quarCopy) }}
+
+// newQuarCopy returns a copy of src holding one reference: the caller's.
+func newQuarCopy(src *page.Page) *quarCopy {
+	c := quarCopies.Get().(*quarCopy)
+	c.pg = *src
+	c.refs.Store(1)
+	return c
+}
+
+// retain adds a reference. The caller must already hold one.
+func (c *quarCopy) retain() { c.refs.Add(1) }
+
+// release drops a reference, recycling the copy on the last one.
+func (c *quarCopy) release() {
+	switch n := c.refs.Add(-1); {
+	case n == 0:
+		quarCopies.Put(c)
+	case n < 0:
+		panic("buffer: quarantine copy released twice")
+	}
+}
+
 // shard is one hash partition of the pool: a self-contained buffer manager
 // owning its slice of the frames, its own page table, free list, dirty
 // quarantine, write-back stripes, and — crucially — its own core.Wrapper
@@ -85,9 +122,9 @@ type shard struct {
 	// dropped; loads adopt a quarantined copy instead of reading a stale
 	// version from the device (which also closes the window where a
 	// concurrent miss could re-read a page whose write-back is still in
-	// flight).
+	// flight). Each entry holds one reference to its copy (quarCopy).
 	quarMu     sync.Mutex
-	quarantine map[page.PageID]*page.Page
+	quarantine map[page.PageID]*quarCopy
 	quarCap    int
 
 	// quarTrace remembers, per parked page, which traced request did the
@@ -112,6 +149,11 @@ type shard struct {
 	tracer *reqtrace.Tracer
 
 	writeBackFailures atomic.Int64
+
+	// reclaimRefusals counts, by reason, the victim candidates reclaims
+	// turned down: the running total of the tally an exhausted reclaim's
+	// error carries (exported as bpw_reclaim_refusals_total).
+	reclaimRefusals [numRefusals]atomic.Int64
 
 	// healthState drives graceful degradation: breaker/quarantine-driven
 	// health evaluation and miss admission control (see health.go).
@@ -307,7 +349,7 @@ func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device 
 	sh.mask = uint64(nb - 1)
 	sh.device = device
 	sh.lockedHitPath = lockedHitPath
-	sh.quarantine = make(map[page.PageID]*page.Page)
+	sh.quarantine = make(map[page.PageID]*quarCopy)
 	sh.quarTrace = make(map[page.PageID]quarCtx)
 	sh.quarCap = quarCap
 	sh.tracer = wcfg.Tracer
@@ -580,7 +622,8 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	}
 	if !stolen {
 		if q := sh.quarantineTake(id); q != nil {
-			f.data = *q
+			f.data = q.pg
+			q.release()
 			adopted = true
 		} else {
 			// Device reads are slow phases: they lazily arm the trace, so
@@ -633,13 +676,15 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 func (sh *shard) recycle(a *reqtrace.Active, victim page.PageID) {
 	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
 		if victim.Valid() {
-			if f, _ := sh.reclaim(a, victim); f != nil {
+			f, why := sh.reclaim(a, victim)
+			if f != nil {
 				f.toFree()
 				sh.freeMu.Lock()
 				sh.freeList = append(sh.freeList, f)
 				sh.freeMu.Unlock()
 				return
 			}
+			sh.reclaimRefusals[why].Add(1)
 		}
 		runtime.Gosched()
 		v, ok := sh.nextVictim(victim, page.InvalidPageID, nil)
@@ -701,6 +746,7 @@ func (sh *shard) reclaimLoop(a *reqtrace.Active, id, victim page.PageID) (*Frame
 				return f, nil
 			}
 			refused[why]++
+			sh.reclaimRefusals[why].Add(1)
 			if !slices.Contains(skip[:min(nskip, reclaimSkip)], victim) {
 				skip[nskip%reclaimSkip] = victim
 				nskip++
@@ -886,12 +932,11 @@ func (sh *shard) reclaim(a *reqtrace.Active, victim page.PageID) (*Frame, refusa
 		// Lost a race (a reader pinned, a writer dirtied…); re-evaluate.
 	}
 	needWriteback := s&frameDirty != 0
-	var wb *page.Page
+	var wb *quarCopy
 	if needWriteback {
 		// The claim made the frame exclusively ours: the copy reads
 		// stable bytes.
-		c := f.data
-		wb = &c
+		wb = newQuarCopy(&f.data)
 	}
 
 	var dirtyArg uint64
@@ -919,6 +964,7 @@ func (sh *shard) reclaim(a *reqtrace.Active, victim page.PageID) (*Frame, refusa
 		sched.Yield(sched.BufQuarantinePark)
 		t0 := a.Now()
 		_, werr := sh.writeQuarantined(victim, wb, a.ID())
+		wb.release()
 		var errArg uint64
 		if werr != nil {
 			errArg = 1
@@ -948,7 +994,10 @@ func (sh *shard) reclaim(a *reqtrace.Active, victim page.PageID) (*Frame, refusa
 // request, its park-to-durable interval is emitted as a cross-thread span
 // on the parking request's trace — "evicted by request R, made durable
 // N ns later by another thread".
-func (sh *shard) writeQuarantined(id page.PageID, copy *page.Page, self uint64) (wrote bool, err error) {
+//
+// The caller holds a reference to copy, so the identity check cannot be
+// fooled by a recycled copy that now backs a newer entry.
+func (sh *shard) writeQuarantined(id page.PageID, copy *quarCopy, self uint64) (wrote bool, err error) {
 	l := sh.wbLock(id)
 	l.Lock()
 	defer l.Unlock()
@@ -958,7 +1007,7 @@ func (sh *shard) writeQuarantined(id page.PageID, copy *page.Page, self uint64) 
 	if cur != copy {
 		return false, nil
 	}
-	if err := sh.device.WritePage(copy); err != nil {
+	if err := sh.device.WritePage(&copy.pg); err != nil {
 		return false, err
 	}
 	tc := sh.quarantineResolve(id, copy)
@@ -981,9 +1030,13 @@ func (sh *shard) writeQuarantined(id page.PageID, copy *page.Page, self uint64) 
 // to the frame, so an eviction in the write window stays lossless.
 // a, when non-nil and traced, attributes the park so a later write-back by
 // another thread can be stitched onto the parking request's trace.
-func (sh *shard) quarantinePut(id page.PageID, copy *page.Page, a *reqtrace.Active) {
+// The entry takes its own reference to copy; a superseded entry's
+// reference is dropped.
+func (sh *shard) quarantinePut(id page.PageID, copy *quarCopy, a *reqtrace.Active) {
 	tid := a.ID()
+	copy.retain()
 	sh.quarMu.Lock()
+	old := sh.quarantine[id]
 	sh.quarantine[id] = copy
 	if tid != 0 {
 		sh.quarTrace[id] = quarCtx{trace: tid, at: a.Now()}
@@ -992,12 +1045,17 @@ func (sh *shard) quarantinePut(id page.PageID, copy *page.Page, a *reqtrace.Acti
 	}
 	n := len(sh.quarantine)
 	sh.quarMu.Unlock()
+	if old != nil {
+		old.release()
+	}
 	sh.events.Record(obs.EvQuarantinePark, uint64(id), uint64(n))
 }
 
-// quarantineTake removes and returns the quarantined copy of id, if any.
-// Used by the miss path to adopt the newest acknowledged version.
-func (sh *shard) quarantineTake(id page.PageID) *page.Page {
+// quarantineTake removes and returns the quarantined copy of id, if any,
+// handing the entry's reference to the caller, who copies the bytes out
+// and releases it. Used by the miss path to adopt the newest acknowledged
+// version.
+func (sh *shard) quarantineTake(id page.PageID) *quarCopy {
 	sh.quarMu.Lock()
 	q := sh.quarantine[id]
 	if q != nil {
@@ -1012,16 +1070,22 @@ func (sh *shard) quarantineTake(id page.PageID) *page.Page {
 // the caller parked; a concurrent miss may already have adopted it (and
 // will write the same bytes back again later, which is merely redundant).
 // It returns the parker's trace context (zero when untraced or when the
-// entry was already gone) so the resolving write can be attributed.
-func (sh *shard) quarantineResolve(id page.PageID, copy *page.Page) quarCtx {
+// entry was already gone) so the resolving write can be attributed. The
+// caller holds a reference to copy; a resolved entry's reference is
+// dropped.
+func (sh *shard) quarantineResolve(id page.PageID, copy *quarCopy) quarCtx {
 	var tc quarCtx
 	sh.quarMu.Lock()
-	if sh.quarantine[id] == copy {
+	resolved := sh.quarantine[id] == copy
+	if resolved {
 		delete(sh.quarantine, id)
 		tc = sh.quarTrace[id]
 		delete(sh.quarTrace, id)
 	}
 	sh.quarMu.Unlock()
+	if resolved {
+		copy.release()
+	}
 	return tc
 }
 
@@ -1048,21 +1112,28 @@ func (sh *shard) quarantineLen() int {
 // that was adopted or superseded before its write starts is skipped by
 // writeQuarantined (counted neither written nor failed), and per-page
 // serialization there guarantees a stale snapshot write can never land
-// after a newer successful write of the same page.
+// after a newer successful write of the same page. Each snapshot entry
+// holds a reference to its copy until its write returns.
 func (sh *shard) drainQuarantine() (written, failed int, err error) {
+	type entry struct {
+		id   page.PageID
+		copy *quarCopy
+	}
 	sh.quarMu.Lock()
-	snap := make(map[page.PageID]*page.Page, len(sh.quarantine))
+	snap := make([]entry, 0, len(sh.quarantine))
 	for id, copy := range sh.quarantine {
-		snap[id] = copy
+		copy.retain()
+		snap = append(snap, entry{id, copy})
 	}
 	sh.quarMu.Unlock()
 	var errs []error
-	for id, copy := range snap {
-		wrote, werr := sh.writeQuarantined(id, copy, 0)
+	for _, e := range snap {
+		wrote, werr := sh.writeQuarantined(e.id, e.copy, 0)
+		e.copy.release()
 		if werr != nil {
 			sh.writeBackFailures.Add(1)
 			failed++
-			errs = append(errs, fmt.Errorf("quarantined page %v: %w", id, werr))
+			errs = append(errs, fmt.Errorf("quarantined page %v: %w", e.id, werr))
 			continue
 		}
 		if wrote {
@@ -1089,10 +1160,9 @@ func (sh *shard) abandonFrame(f *Frame) {
 func (sh *shard) purgeQuarantine(id page.PageID) {
 	l := sh.wbLock(id)
 	l.Lock()
-	sh.quarMu.Lock()
-	delete(sh.quarantine, id)
-	delete(sh.quarTrace, id)
-	sh.quarMu.Unlock()
+	if q := sh.quarantineTake(id); q != nil {
+		q.release()
+	}
 	l.Unlock()
 }
 
@@ -1179,7 +1249,8 @@ func (sh *shard) flushFrame(f *Frame) (bool, error) {
 			break
 		}
 	}
-	wb := f.data
+	wb := newQuarCopy(&f.data)
+	defer wb.release()
 	sh.quarMu.Lock()
 	if len(sh.quarantine) >= sh.quarCap {
 		// No room to guarantee durability across the write window; keep
@@ -1190,11 +1261,16 @@ func (sh *shard) flushFrame(f *Frame) (bool, error) {
 		sh.quarRefusals.Add(1)
 		return false, nil
 	}
-	sh.quarantine[id] = &wb
+	wb.retain()
+	old := sh.quarantine[id]
+	sh.quarantine[id] = wb
 	// The flusher parks on its own behalf, not a request's: drop any
 	// stale parker attribution a superseded entry left behind.
 	delete(sh.quarTrace, id)
 	sh.quarMu.Unlock()
+	if old != nil {
+		old.release()
+	}
 	for {
 		cur := f.state.Load()
 		if f.state.CompareAndSwap(cur, cur&^uint64(frameDirty)) {
@@ -1204,7 +1280,7 @@ func (sh *shard) flushFrame(f *Frame) (bool, error) {
 	f.unpin()
 
 	sched.Yield(sched.BufFlushClear)
-	wrote, err := sh.writeQuarantined(id, &wb, 0)
+	wrote, err := sh.writeQuarantined(id, wb, 0)
 	if err == nil {
 		return wrote, nil
 	}
@@ -1224,7 +1300,7 @@ func (sh *shard) flushFrame(f *Frame) (bool, error) {
 			break // recycled while the write was in flight
 		}
 		if f.state.CompareAndSwap(cur, cur|frameDirty) {
-			sh.quarantineResolve(id, &wb)
+			sh.quarantineResolve(id, wb)
 			break
 		}
 	}

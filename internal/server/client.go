@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"bpwrapper/internal/page"
@@ -21,6 +22,11 @@ type Client struct {
 	next  uint64 // next request ID
 	wbuf  []byte // reused request-encoding buffer
 	trace uint64 // trace ID attached to outgoing requests; 0 = untraced
+
+	// Do's reused result storage: the positional results and the GET
+	// page bytes they point into, valid until the next Do.
+	res  []OpResult
+	data []byte
 }
 
 // SetTraceID attaches a trace ID to every subsequent request (via the
@@ -170,8 +176,10 @@ type Op struct {
 	Data []byte // PUT page bytes; ignored for other ops
 }
 
-// OpResult is one pipelined operation's outcome. Data is an owned copy
-// of a successful GET's page (batch results outlive the read buffer).
+// OpResult is one pipelined operation's outcome. Data holds a successful
+// GET's page and is nil for every other op. Like the result slice itself,
+// it is backed by client-owned storage and valid only until the next Do;
+// copy to retain.
 type OpResult struct {
 	Status byte
 	Err    error
@@ -184,6 +192,10 @@ type OpResult struct {
 // comes back under one response flush. Results are positional. A
 // transport error fails the whole batch; per-op failures (shed misses,
 // invalid pages) land in their slot's Err.
+//
+// The returned slice and every result's Data reuse the client's buffers:
+// they are valid only until the next Do (the contract Get already has),
+// so a steady stream of bursts allocates nothing per page.
 func (c *Client) Do(ops []Op) ([]OpResult, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -213,7 +225,15 @@ func (c *Client) Do(ops []Op) ([]OpResult, error) {
 	if err := c.bw.Flush(); err != nil {
 		return nil, err
 	}
-	out := make([]OpResult, len(ops))
+	gets := 0
+	for _, op := range ops {
+		if op.Code == OpGet {
+			gets++
+		}
+	}
+	c.res = slices.Grow(c.res[:0], len(ops))[:len(ops)]
+	c.data = slices.Grow(c.data[:0], gets*page.Size)
+	out := c.res
 	for i := range ops {
 		status, gotID, resp, err := c.fr.next()
 		if err != nil {
@@ -222,13 +242,18 @@ func (c *Client) Do(ops []Op) ([]OpResult, error) {
 		if gotID != base+uint64(i) {
 			return nil, fmt.Errorf("client: Do[%d]: response ID %d, want %d (stream desynced)", i, gotID, base+uint64(i))
 		}
-		out[i].Status = status
+		out[i] = OpResult{Status: status}
 		if status != StatusOK {
 			out[i].Err = errForStatus(status, resp)
 			continue
 		}
 		if ops[i].Code == OpGet {
-			out[i].Data = append([]byte(nil), resp...)
+			// Each page gets its own capped window of c.data: an append
+			// that outgrew the reserve moves later pages to a new array
+			// but leaves the earlier ones intact.
+			n := len(c.data)
+			c.data = append(c.data, resp...)
+			out[i].Data = c.data[n:len(c.data):len(c.data)]
 		}
 	}
 	return out, nil

@@ -25,9 +25,14 @@ var ErrInvalidPage = errors.New("storage: invalid page id")
 // dirty pages back to. Implementations must be safe for concurrent use.
 type Device interface {
 	// ReadPage fills p with the content of the page identified by id.
+	// On success p is completely filled before ReadPage returns; nothing
+	// writes to p after it returns.
 	ReadPage(id page.PageID, p *page.Page) error
 
-	// WritePage persists p's content under p.ID.
+	// WritePage persists p's content under p.ID. It must not retain p
+	// after it returns: callers recycle the page's memory at once (the
+	// buffer pool's quarantine copies are pooled), so an implementation
+	// that finishes asynchronously must copy the bytes first.
 	WritePage(p *page.Page) error
 
 	// Stats returns cumulative operation counters.
@@ -106,13 +111,16 @@ func (d *MemDevice) ReadPage(id page.PageID, p *page.Page) error {
 	s := d.shard(id)
 	s.mu.RLock()
 	data, ok := s.pages[id]
-	s.mu.RUnlock()
 	if ok {
+		// Stored arrays are overwritten in place by WritePage, so the
+		// copy must finish under the read lock.
 		p.ID = id
 		p.Data = *data
-		return nil
 	}
-	p.Stamp(id)
+	s.mu.RUnlock()
+	if !ok {
+		p.Stamp(id)
+	}
 	return nil
 }
 
@@ -122,10 +130,16 @@ func (d *MemDevice) WritePage(p *page.Page) error {
 		return ErrInvalidPage
 	}
 	d.writes.Add(1)
-	data := p.Data
 	s := d.shard(p.ID)
 	s.mu.Lock()
-	s.pages[p.ID] = &data
+	// Overwrite a stored page in place; only a page's first write
+	// allocates its array.
+	data, ok := s.pages[p.ID]
+	if !ok {
+		data = new([page.Size]byte)
+		s.pages[p.ID] = data
+	}
+	*data = p.Data
 	s.mu.Unlock()
 	return nil
 }
