@@ -582,12 +582,14 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	// device I/O issued. Followers waiting on the loadOp receive the same
 	// ErrOverloaded, which is correct — they were asking for the same
 	// uncached page.
-	releaseMiss, err := sh.admitMiss(id)
+	tracked, err := sh.admitMiss(id)
 	if err != nil {
 		finish(err)
 		return nil, false, err
 	}
-	defer releaseMiss()
+	if tracked {
+		defer sh.missInflight.Add(-1)
+	}
 	f, err := sh.acquireFrame(&ps.trace, sub, id)
 	if err != nil {
 		finish(err)

@@ -10,11 +10,10 @@ package replacer
 // whose clock approximation (CAR) loses history fidelity; both are included
 // here so the hit-ratio experiments can quantify that trade-off.
 type ARC struct {
-	prefetchIndex
 	capacity int
 	p        int // adaptation target: preferred size of T1
 
-	table map[PageID]*node
+	table nodeTable
 	t1    *list // resident, seen once; front = MRU
 	t2    *list // resident, seen twice+; front = MRU
 	b1    *list // ghosts of t1; front = MRU
@@ -29,14 +28,9 @@ var (
 // NewARC returns an ARC policy holding at most capacity resident pages.
 func NewARC(capacity int) *ARC {
 	checkCap("arc", capacity)
-	return &ARC{
-		capacity: capacity,
-		table:    make(map[PageID]*node, 2*capacity),
-		t1:       newList(),
-		t2:       newList(),
-		b1:       newList(),
-		b2:       newList(),
-	}
+	p := &ARC{capacity: capacity, t1: newList(), t2: newList(), b1: newList(), b2: newList()}
+	p.table.init("arc", 2*capacity)
+	return p
 }
 
 // Name implements Policy.
@@ -59,15 +53,15 @@ func (p *ARC) ListLengths() (t1, t2, b1, b2 int) {
 
 // Contains reports whether id is resident (on T1 or T2).
 func (p *ARC) Contains(id PageID) bool {
-	nd, ok := p.table[id]
-	return ok && !nd.ghost
+	nd := p.table.get(id)
+	return nd != nil && !nd.ghost
 }
 
 // Hit moves a resident page to the MRU end of T2 (a second access proves
 // frequency). Ghost and absent ids are ignored.
 func (p *ARC) Hit(id PageID) {
-	nd, ok := p.table[id]
-	if !ok || nd.ghost {
+	nd := p.table.get(id)
+	if nd == nil || nd.ghost {
 		return
 	}
 	if nd.hot {
@@ -82,7 +76,8 @@ func (p *ARC) Hit(id PageID) {
 // Admit makes id resident after a miss, adapting p on ghost hits and
 // evicting per ARC's REPLACE rule when the cache is full.
 func (p *ARC) Admit(id PageID) (victim PageID, evicted bool) {
-	nd, present := p.table[id]
+	nd := p.table.get(id)
+	present := nd != nil
 	if present && !nd.ghost {
 		mustAbsent("arc", true)
 	}
@@ -98,7 +93,6 @@ func (p *ARC) Admit(id PageID) (victim PageID, evicted bool) {
 		nd.ghost = false
 		nd.hot = true
 		p.t2.pushFront(nd)
-		p.note(id, nd)
 	case present: // ghost hit in B2: favour frequency
 		delta := 1
 		if p.b2.len() > 0 && p.b1.len() > p.b2.len() {
@@ -109,39 +103,34 @@ func (p *ARC) Admit(id PageID) (victim PageID, evicted bool) {
 		p.b2.remove(nd)
 		nd.ghost = false
 		p.t2.pushFront(nd)
-		p.note(id, nd)
 	default: // brand-new page
 		l1 := p.t1.len() + p.b1.len()
 		if l1 == p.capacity {
 			if p.t1.len() < p.capacity {
 				// Directory side L1 full but T1 has room for history churn:
 				// drop B1's oldest ghost and make space by REPLACE.
-				old := p.b1.popBack()
-				delete(p.table, old.id)
+				p.table.remove(p.b1.popBack().id)
 				victim, evicted = p.replace(false)
 			} else {
 				// B1 empty and T1 full: evict T1's LRU page outright.
 				v := p.t1.popBack()
-				delete(p.table, v.id)
-				p.forget(v.id)
+				p.table.remove(v.id)
 				victim, evicted = v.id, true
 			}
 		} else if l1 < p.capacity {
 			total := l1 + p.t2.len() + p.b2.len()
 			if total >= p.capacity {
 				if total == 2*p.capacity {
-					old := p.b2.popBack()
-					delete(p.table, old.id)
+					p.table.remove(p.b2.popBack().id)
 				}
 				if p.Len() == p.capacity {
 					victim, evicted = p.replace(false)
 				}
 			}
 		}
-		nd = &node{id: id}
-		p.table[id] = nd
+		nd = p.table.insert(id)
+		*nd = node{id: id}
 		p.t1.pushFront(nd)
-		p.note(id, nd)
 	}
 	return victim, evicted
 }
@@ -182,14 +171,13 @@ func (p *ARC) forceReplace(inB2 bool) (PageID, bool) {
 		nd.hot = true
 		p.b2.pushFront(nd)
 	}
-	p.forget(nd.id)
 	return nd.id, true
 }
 
 // Remove deletes a page from the resident set or the ghost directory.
 func (p *ARC) Remove(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
+	nd := p.table.get(id)
+	if nd == nil {
 		return
 	}
 	switch {
@@ -199,10 +187,11 @@ func (p *ARC) Remove(id PageID) {
 		p.b1.remove(nd)
 	case nd.hot:
 		p.t2.remove(nd)
-		p.forget(id)
 	default:
 		p.t1.remove(nd)
-		p.forget(id)
 	}
-	delete(p.table, id)
+	p.table.remove(id)
 }
+
+// Prefetch implements Prefetcher over the page table.
+func (p *ARC) Prefetch(ids []PageID) { p.table.prefetch(ids) }

@@ -12,11 +12,10 @@ package replacer
 // are plain fields); only the simpler Clock/GClock policies advertise
 // lock-free hits.
 type CAR struct {
-	prefetchIndex
 	capacity int
 	p        int // adaptation target: preferred size of T1
 
-	table map[PageID]*node
+	table nodeTable
 	t1    *list // clock ring; front = hand position
 	t2    *list // clock ring; front = hand position
 	b1    *list // ghosts of t1; front = MRU, back = LRU
@@ -31,14 +30,9 @@ var (
 // NewCAR returns a CAR policy holding at most capacity resident pages.
 func NewCAR(capacity int) *CAR {
 	checkCap("car", capacity)
-	return &CAR{
-		capacity: capacity,
-		table:    make(map[PageID]*node, 2*capacity),
-		t1:       newList(),
-		t2:       newList(),
-		b1:       newList(),
-		b2:       newList(),
-	}
+	p := &CAR{capacity: capacity, t1: newList(), t2: newList(), b1: newList(), b2: newList()}
+	p.table.init("car", 2*capacity)
+	return p
 }
 
 // Name implements Policy.
@@ -60,15 +54,15 @@ func (p *CAR) ListLengths() (t1, t2, b1, b2 int) {
 
 // Contains reports whether id is resident.
 func (p *CAR) Contains(id PageID) bool {
-	nd, ok := p.table[id]
-	return ok && !nd.ghost
+	nd := p.table.get(id)
+	return nd != nil && !nd.ghost
 }
 
 // Hit sets the page's reference bit — the only work CAR does on a hit,
 // which is what makes it a clock-family algorithm.
 func (p *CAR) Hit(id PageID) {
-	nd, ok := p.table[id]
-	if !ok || nd.ghost {
+	nd := p.table.get(id)
+	if nd == nil || nd.ghost {
 		return
 	}
 	nd.ref = true
@@ -78,7 +72,8 @@ func (p *CAR) Hit(id PageID) {
 // pseudo-code: replace when full, maintain the directory bounds, and adapt
 // p on ghost hits.
 func (p *CAR) Admit(id PageID) (victim PageID, evicted bool) {
-	nd, present := p.table[id]
+	nd := p.table.get(id)
+	present := nd != nil
 	if present && !nd.ghost {
 		mustAbsent("car", true)
 	}
@@ -95,18 +90,16 @@ func (p *CAR) Admit(id PageID) (victim PageID, evicted bool) {
 		// rather than single discards so the bounds are restored even after
 		// such churn.
 		for p.t1.len()+p.b1.len() >= p.capacity && p.b1.len() > 0 {
-			old := p.b1.popBack()
-			delete(p.table, old.id)
+			p.table.remove(p.b1.popBack().id)
 		}
 		for p.t1.len()+p.t2.len()+p.b1.len()+p.b2.len() >= 2*p.capacity && p.b2.len() > 0 {
-			old := p.b2.popBack()
-			delete(p.table, old.id)
+			p.table.remove(p.b2.popBack().id)
 		}
 	}
 	switch {
 	case !present:
-		nd = &node{id: id}
-		p.table[id] = nd
+		nd = p.table.insert(id)
+		*nd = node{id: id}
 		p.t1.pushBack(nd) // tail of the T1 ring
 	case !nd.hot: // ghost hit in B1
 		delta := 1
@@ -130,7 +123,6 @@ func (p *CAR) Admit(id PageID) (victim PageID, evicted bool) {
 		nd.ref = false
 		p.t2.pushBack(nd)
 	}
-	p.note(id, nd)
 	return victim, evicted
 }
 
@@ -158,7 +150,6 @@ func (p *CAR) replace() PageID {
 			if !nd.ref {
 				nd.ghost = true
 				p.b1.pushFront(nd)
-				p.forget(nd.id)
 				return nd.id
 			}
 			nd.ref = false
@@ -171,7 +162,6 @@ func (p *CAR) replace() PageID {
 			nd.ghost = true
 			nd.hot = true
 			p.b2.pushFront(nd)
-			p.forget(nd.id)
 			return nd.id
 		}
 		nd.ref = false
@@ -181,8 +171,8 @@ func (p *CAR) replace() PageID {
 
 // Remove deletes a page from the resident set or the ghost directory.
 func (p *CAR) Remove(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
+	nd := p.table.get(id)
+	if nd == nil {
 		return
 	}
 	switch {
@@ -192,10 +182,11 @@ func (p *CAR) Remove(id PageID) {
 		p.b1.remove(nd)
 	case nd.hot:
 		p.t2.remove(nd)
-		p.forget(id)
 	default:
 		p.t1.remove(nd)
-		p.forget(id)
 	}
-	delete(p.table, id)
+	p.table.remove(id)
 }
+
+// Prefetch implements Prefetcher over the page table.
+func (p *CAR) Prefetch(ids []PageID) { p.table.prefetch(ids) }

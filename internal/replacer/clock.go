@@ -15,7 +15,7 @@ type clockNode struct {
 	ref        atomic.Int32 // 0/1 for CLOCK; 0..maxCount for GCLOCK
 }
 
-// touch implements touchable for prefetching: it reads the ring links and
+// touch is the prefetch walk (see prefetch.go): it reads the ring links and
 // the reference state.
 func (nd *clockNode) touch() uint64 {
 	s := uint64(nd.id) ^ uint64(nd.ref.Load())
@@ -186,9 +186,10 @@ func (p *Clock) Remove(id PageID) {
 	p.unlink(v.(*clockNode))
 }
 
-// Prefetch walks the ring nodes for ids read-only; see Prefetcher. For the
-// clock policies the table is already lock-free, so no side index is
-// needed.
+// Prefetch walks the ring nodes for ids read-only; see Prefetcher. The
+// clock policies' table is a sync.Map rather than an entryTable because
+// their lock-free Hit must never miss a resident page; Prefetch reuses
+// it.
 func (p *Clock) Prefetch(ids []PageID) {
 	if raceEnabled {
 		return

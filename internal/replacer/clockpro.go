@@ -20,11 +20,10 @@ package replacer
 // up history fidelity for lock avoidance; this implementation exists so the
 // hit-ratio experiments can compare it against real LIRS.
 type ClockPro struct {
-	prefetchIndex
 	capacity   int
 	coldTarget int // adaptive allocation for resident cold pages, in [1, capacity]
 
-	table    map[PageID]*cpEntry
+	table    entryTable[cpEntry, *cpEntry]
 	handHot  *cpEntry
 	handCold *cpEntry
 	handTest *cpEntry
@@ -43,7 +42,7 @@ type cpEntry struct {
 	ref        bool
 }
 
-// touch implements touchable for prefetching.
+// touch is the prefetch walk (see prefetch.go).
 func (e *cpEntry) touch() uint64 {
 	s := uint64(e.id)
 	if e.hot {
@@ -76,11 +75,9 @@ var (
 // pages, with the cold allocation target initialised to capacity/2.
 func NewClockPro(capacity int) *ClockPro {
 	checkCap("clockpro", capacity)
-	return &ClockPro{
-		capacity:   capacity,
-		coldTarget: max(1, capacity/2),
-		table:      make(map[PageID]*cpEntry, 2*capacity),
-	}
+	p := &ClockPro{capacity: capacity, coldTarget: max(1, capacity/2)}
+	p.table.init("clockpro", 2*capacity)
+	return p
 }
 
 // Name implements Policy.
@@ -100,14 +97,14 @@ func (p *ClockPro) Counts() (hot, coldRes, nonResident int) {
 
 // Contains reports whether id is resident.
 func (p *ClockPro) Contains(id PageID) bool {
-	e, ok := p.table[id]
-	return ok && e.resident
+	e := p.table.get(id)
+	return e != nil && e.resident
 }
 
 // Hit sets the page's reference bit, the clock-family hit operation.
 func (p *ClockPro) Hit(id PageID) {
-	e, ok := p.table[id]
-	if !ok || !e.resident {
+	e := p.table.get(id)
+	if e == nil || !e.resident {
 		return
 	}
 	e.ref = true
@@ -152,41 +149,42 @@ func (p *ClockPro) unlink(e *cpEntry) {
 // promotes the page to hot and grows the cold allocation; a plain miss
 // admits the page as a cold page in its test period.
 func (p *ClockPro) Admit(id PageID) (victim PageID, evicted bool) {
-	e, present := p.table[id]
+	e := p.table.get(id)
+	present := e != nil
 	if present && e.resident {
 		mustAbsent("clockpro", true)
 	}
 	if present {
 		// Ghost hit during test period: the page has a small reuse
-		// distance. Grow the cold allocation and re-admit as hot.
+		// distance. Grow the cold allocation and re-admit as hot. The
+		// entry leaves the ring but stays in the table.
 		p.coldTarget = min(p.coldTarget+1, p.capacity)
 		p.unlink(e)
-		delete(p.table, id)
 		p.nNR--
 	}
 	if p.Len() == p.capacity {
 		victim = p.runHandCold()
 		evicted = true
 	}
-	ne := &cpEntry{id: id, resident: true}
+	if !present {
+		e = p.table.insert(id)
+	}
+	*e = cpEntry{id: id, resident: true}
 	if present {
-		ne.hot = true
-		p.insertHead(ne)
-		p.table[id] = ne
+		e.hot = true
+		p.insertHead(e)
 		p.nHot++
 		for p.nHot > p.capacity-min(p.coldTarget, p.capacity-1) {
 			p.runHandHot()
 		}
 	} else {
-		ne.test = true
-		p.insertHead(ne)
-		p.table[id] = ne
+		e.test = true
+		p.insertHead(e)
 		p.nColdRes++
 		for p.nNR > p.capacity {
 			p.runHandTest()
 		}
 	}
-	p.note(id, ne)
 	return victim, evicted
 }
 
@@ -239,7 +237,6 @@ func (p *ClockPro) runHandCold() PageID {
 		}
 		// Unreferenced resident cold page: evict it.
 		e.resident = false
-		p.forget(e.id)
 		p.nColdRes--
 		if e.test {
 			// Keep as a non-resident page for the rest of its test period.
@@ -249,7 +246,7 @@ func (p *ClockPro) runHandCold() PageID {
 			}
 		} else {
 			p.unlink(e)
-			delete(p.table, e.id)
+			p.table.remove(e.id)
 		}
 		return e.id
 	}
@@ -294,7 +291,7 @@ func (p *ClockPro) runHandTest() {
 		}
 		if !e.resident {
 			p.unlink(e)
-			delete(p.table, e.id)
+			p.table.remove(e.id)
 			p.nNR--
 			return
 		}
@@ -309,20 +306,21 @@ func (p *ClockPro) runHandTest() {
 
 // Remove deletes a page from the resident set or the test-period history.
 func (p *ClockPro) Remove(id PageID) {
-	e, ok := p.table[id]
-	if !ok {
+	e := p.table.get(id)
+	if e == nil {
 		return
 	}
 	switch {
 	case e.hot:
 		p.nHot--
-		p.forget(id)
 	case e.resident:
 		p.nColdRes--
-		p.forget(id)
 	default:
 		p.nNR--
 	}
 	p.unlink(e)
-	delete(p.table, id)
+	p.table.remove(id)
 }
+
+// Prefetch implements Prefetcher over the page table.
+func (p *ClockPro) Prefetch(ids []PageID) { p.table.prefetch(ids) }

@@ -4,9 +4,8 @@ package replacer
 // weakest baseline in the suite but useful in hit-ratio comparisons and as
 // the degenerate case many approximation arguments start from.
 type FIFO struct {
-	prefetchIndex
 	capacity int
-	table    map[PageID]*node
+	table    nodeTable
 	lst      *list // front = newest, back = oldest
 }
 
@@ -16,11 +15,9 @@ var _ Prefetcher = (*FIFO)(nil)
 // NewFIFO returns a FIFO policy holding at most capacity pages.
 func NewFIFO(capacity int) *FIFO {
 	checkCap("fifo", capacity)
-	return &FIFO{
-		capacity: capacity,
-		table:    make(map[PageID]*node, capacity),
-		lst:      newList(),
-	}
+	p := &FIFO{capacity: capacity, lst: newList()}
+	p.table.init("fifo", capacity)
+	return p
 }
 
 // Name implements Policy.
@@ -33,10 +30,7 @@ func (p *FIFO) Cap() int { return p.capacity }
 func (p *FIFO) Len() int { return p.lst.len() }
 
 // Contains implements Policy.
-func (p *FIFO) Contains(id PageID) bool {
-	_, ok := p.table[id]
-	return ok
-}
+func (p *FIFO) Contains(id PageID) bool { return p.table.get(id) != nil }
 
 // Hit is a no-op for FIFO (arrival order is unaffected by accesses).
 func (p *FIFO) Hit(id PageID) {}
@@ -48,12 +42,14 @@ func (p *FIFO) Admit(id PageID) (victim PageID, evicted bool) {
 	if p.Len() == p.capacity {
 		victim, evicted = p.Evict()
 	}
-	nd := &node{id: id}
-	p.table[id] = nd
+	nd := p.table.insert(id)
+	*nd = node{id: id}
 	p.lst.pushFront(nd)
-	p.note(id, nd)
 	return victim, evicted
 }
+
+// Prefetch implements Prefetcher over the page table.
+func (p *FIFO) Prefetch(ids []PageID) { p.table.prefetch(ids) }
 
 // Evict removes and returns the oldest page.
 func (p *FIFO) Evict() (PageID, bool) {
@@ -61,16 +57,14 @@ func (p *FIFO) Evict() (PageID, bool) {
 	if nd == nil {
 		return 0, false
 	}
-	delete(p.table, nd.id)
-	p.forget(nd.id)
+	p.table.remove(nd.id)
 	return nd.id, true
 }
 
 // Remove deletes a page from the resident set.
 func (p *FIFO) Remove(id PageID) {
-	if nd, ok := p.table[id]; ok {
+	if nd := p.table.get(id); nd != nil {
 		p.lst.remove(nd)
-		delete(p.table, id)
-		p.forget(id)
+		p.table.remove(id)
 	}
 }

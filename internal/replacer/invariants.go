@@ -66,8 +66,8 @@ func walkList(policy, name string, l *list, fn func(*node) error) (int, error) {
 }
 
 // inTable checks that a walked node is the table's entry for its id.
-func inTable(policy, name string, table map[PageID]*node, nd *node) error {
-	if got, ok := table[nd.id]; !ok || got != nd {
+func inTable(policy, name string, table *nodeTable, nd *node) error {
+	if table.get(nd.id) != nd {
 		return fmt.Errorf("replacer: %s: %s node %v not backed by table entry", policy, name, nd.id)
 	}
 	return nil
@@ -78,8 +78,8 @@ func inTable(policy, name string, table map[PageID]*node, nd *node) error {
 func (p *LRU) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
 
 func (p *LRU) checkInvariants(deep bool) error {
-	if p.lst.len() != len(p.table) {
-		return fmt.Errorf("replacer: lru: list %d != table %d", p.lst.len(), len(p.table))
+	if p.lst.len() != p.table.len() {
+		return fmt.Errorf("replacer: lru: list %d != table %d", p.lst.len(), p.table.len())
 	}
 	if p.Len() > p.capacity {
 		return fmt.Errorf("replacer: lru: Len %d > cap %d", p.Len(), p.capacity)
@@ -87,8 +87,11 @@ func (p *LRU) checkInvariants(deep bool) error {
 	if !deep {
 		return nil
 	}
+	if err := p.table.check(); err != nil {
+		return err
+	}
 	_, err := walkList("lru", "list", p.lst, func(nd *node) error {
-		return inTable("lru", "list", p.table, nd)
+		return inTable("lru", "list", &p.table, nd)
 	})
 	return err
 }
@@ -98,8 +101,8 @@ func (p *LRU) checkInvariants(deep bool) error {
 func (p *FIFO) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
 
 func (p *FIFO) checkInvariants(deep bool) error {
-	if p.lst.len() != len(p.table) {
-		return fmt.Errorf("replacer: fifo: list %d != table %d", p.lst.len(), len(p.table))
+	if p.lst.len() != p.table.len() {
+		return fmt.Errorf("replacer: fifo: list %d != table %d", p.lst.len(), p.table.len())
 	}
 	if p.Len() > p.capacity {
 		return fmt.Errorf("replacer: fifo: Len %d > cap %d", p.Len(), p.capacity)
@@ -107,8 +110,11 @@ func (p *FIFO) checkInvariants(deep bool) error {
 	if !deep {
 		return nil
 	}
+	if err := p.table.check(); err != nil {
+		return err
+	}
 	_, err := walkList("fifo", "list", p.lst, func(nd *node) error {
-		return inTable("fifo", "list", p.table, nd)
+		return inTable("fifo", "list", &p.table, nd)
 	})
 	return err
 }
@@ -118,31 +124,44 @@ func (p *FIFO) checkInvariants(deep bool) error {
 func (p *LFU) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
 
 func (p *LFU) checkInvariants(deep bool) error {
-	if p.length != len(p.table) {
-		return fmt.Errorf("replacer: lfu: length %d != table %d", p.length, len(p.table))
+	if p.length != p.table.len() {
+		return fmt.Errorf("replacer: lfu: length %d != table %d", p.length, p.table.len())
 	}
 	if p.length > p.capacity {
 		return fmt.Errorf("replacer: lfu: length %d > cap %d", p.length, p.capacity)
 	}
-	sum := 0
-	for freq, b := range p.buckets {
-		if b.len() == 0 {
-			return fmt.Errorf("replacer: lfu: empty bucket retained at freq %d", freq)
+	sum, chained := 0, 0
+	for b := p.head; b != nil; b = b.next {
+		if b.pages.len() == 0 {
+			return fmt.Errorf("replacer: lfu: empty bucket retained at freq %d", b.freq)
 		}
-		sum += b.len()
+		if b.next != nil && (b.next.freq <= b.freq || b.next.prev != b) {
+			return fmt.Errorf("replacer: lfu: bucket chain broken after freq %d", b.freq)
+		}
+		sum += b.pages.len()
+		if chained++; chained > p.length {
+			return fmt.Errorf("replacer: lfu: bucket chain longer than length %d", p.length)
+		}
 	}
 	if sum != p.length {
 		return fmt.Errorf("replacer: lfu: bucket sum %d != length %d", sum, p.length)
 	}
+	if chained+len(p.free) != len(p.buckets) {
+		return fmt.Errorf("replacer: lfu: %d chained + %d free buckets != slab %d", chained, len(p.free), len(p.buckets))
+	}
 	if !deep {
 		return nil
 	}
-	for freq, b := range p.buckets {
-		_, err := walkList("lfu", fmt.Sprintf("bucket[%d]", freq), b, func(nd *node) error {
-			if nd.count != freq {
-				return fmt.Errorf("replacer: lfu: node %v has freq %d in bucket %d", nd.id, nd.count, freq)
+	if err := p.table.check(); err != nil {
+		return err
+	}
+	for b := p.head; b != nil; b = b.next {
+		_, err := walkList("lfu", fmt.Sprintf("bucket[%d]", b.freq), &b.pages, func(nd *node) error {
+			if nd.count != b.freq || nd.level != b.slot {
+				return fmt.Errorf("replacer: lfu: node %v (freq %d, bucket slot %d) in bucket %d at slot %d",
+					nd.id, nd.count, nd.level, b.freq, b.slot)
 			}
-			return inTable("lfu", "bucket", p.table, nd)
+			return inTable("lfu", "bucket", &p.table, nd)
 		})
 		if err != nil {
 			return err
@@ -162,7 +181,10 @@ func (p *LRUK) checkInvariants(deep bool) error {
 	if !deep {
 		return nil
 	}
-	for id, e := range p.table {
+	if err := p.table.check(); err != nil {
+		return err
+	}
+	return p.table.each(func(id PageID, e *lrukEntry) error {
 		if e.id != id {
 			return fmt.Errorf("replacer: %s: table[%v] holds entry for %v", p.Name(), id, e.id)
 		}
@@ -172,8 +194,8 @@ func (p *LRUK) checkInvariants(deep bool) error {
 		if e.n < 1 || e.n > p.k {
 			return fmt.Errorf("replacer: %s: entry %v has %d recorded references, want [1, %d]", p.Name(), id, e.n, p.k)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ---- 2Q ----
@@ -184,7 +206,7 @@ func (p *TwoQ) checkInvariants(deep bool) error {
 	if p.Len() > p.capacity {
 		return fmt.Errorf("replacer: 2q: Len %d > cap %d", p.Len(), p.capacity)
 	}
-	if got, want := len(p.table), p.a1in.len()+p.am.len()+p.a1out.len(); got != want {
+	if got, want := p.table.len(), p.a1in.len()+p.am.len()+p.a1out.len(); got != want {
 		return fmt.Errorf("replacer: 2q: table %d != a1in+am+a1out %d", got, want)
 	}
 	if p.a1out.len() > p.kout {
@@ -192,6 +214,9 @@ func (p *TwoQ) checkInvariants(deep bool) error {
 	}
 	if !deep {
 		return nil
+	}
+	if err := p.table.check(); err != nil {
+		return err
 	}
 	checks := []struct {
 		name  string
@@ -208,7 +233,7 @@ func (p *TwoQ) checkInvariants(deep bool) error {
 			if nd.ghost != c.ghost || nd.hot != c.hot {
 				return fmt.Errorf("replacer: 2q: %s node %v has ghost=%v hot=%v", c.name, nd.id, nd.ghost, nd.hot)
 			}
-			return inTable("2q", c.name, p.table, nd)
+			return inTable("2q", c.name, &p.table, nd)
 		})
 		if err != nil {
 			return err
@@ -237,8 +262,11 @@ func (p *LIRS) checkInvariants(deep bool) error {
 	if !deep {
 		return nil
 	}
+	if err := p.table.check(); err != nil {
+		return err
+	}
 	var lir, hir, ghost int
-	for id, e := range p.table {
+	err := p.table.each(func(id PageID, e *lirsEntry) error {
 		if e.id != id {
 			return fmt.Errorf("replacer: lirs: table[%v] holds entry for %v", id, e.id)
 		}
@@ -267,6 +295,10 @@ func (p *LIRS) checkInvariants(deep bool) error {
 		default:
 			return fmt.Errorf("replacer: lirs: entry %v has impossible state %d", id, e.state)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if lir != p.nLIR {
 		return fmt.Errorf("replacer: lirs: counted %d LIR pages, recorded %d", lir, p.nLIR)
@@ -288,18 +320,21 @@ func (p *SEQ) checkInvariants(deep bool) error {
 	if p.Len() > p.capacity {
 		return fmt.Errorf("replacer: seq: Len %d > cap %d", p.Len(), p.capacity)
 	}
-	if got, want := len(p.table), p.main.len()+p.scan.len(); got != want {
+	if got, want := p.table.len(), p.main.len()+p.scan.len(); got != want {
 		return fmt.Errorf("replacer: seq: table %d != main+scan %d", got, want)
 	}
 	if !deep {
 		return nil
+	}
+	if err := p.table.check(); err != nil {
+		return err
 	}
 	for _, lc := range []struct {
 		name string
 		l    *list
 	}{{"main", p.main}, {"scan", p.scan}} {
 		_, err := walkList("seq", lc.name, lc.l, func(nd *node) error {
-			return inTable("seq", lc.name, p.table, nd)
+			return inTable("seq", lc.name, &p.table, nd)
 		})
 		if err != nil {
 			return err
@@ -313,7 +348,7 @@ func (p *SEQ) checkInvariants(deep bool) error {
 // checkARCShape verifies the list-length identities ARC and CAR share: the
 // directory invariants of the ARC paper (|T1|+|T2| ≤ c, |T1|+|B1| ≤ c,
 // total ≤ 2c) plus the adaptation target's range.
-func checkARCShape(name string, capacity, target int, table map[PageID]*node, t1, t2, b1, b2 *list) error {
+func checkARCShape(name string, capacity, target int, table *nodeTable, t1, t2, b1, b2 *list) error {
 	if t1.len()+t2.len() > capacity {
 		return fmt.Errorf("replacer: %s: T1+T2 = %d > cap %d", name, t1.len()+t2.len(), capacity)
 	}
@@ -324,8 +359,8 @@ func checkARCShape(name string, capacity, target int, table map[PageID]*node, t1
 	if total > 2*capacity {
 		return fmt.Errorf("replacer: %s: directory %d > 2×cap %d", name, total, 2*capacity)
 	}
-	if len(table) != total {
-		return fmt.Errorf("replacer: %s: table %d != directory %d", name, len(table), total)
+	if table.len() != total {
+		return fmt.Errorf("replacer: %s: table %d != directory %d", name, table.len(), total)
 	}
 	if target < 0 || target > capacity {
 		return fmt.Errorf("replacer: %s: target p=%d outside [0, %d]", name, target, capacity)
@@ -336,7 +371,10 @@ func checkARCShape(name string, capacity, target int, table map[PageID]*node, t1
 // checkARCFlags deep-walks the four lists verifying the ghost/hot flag
 // pattern both ARC and CAR maintain: T1 fresh, T2 proven, B1/B2 their
 // ghosts.
-func checkARCFlags(name string, table map[PageID]*node, t1, t2, b1, b2 *list) error {
+func checkARCFlags(name string, table *nodeTable, t1, t2, b1, b2 *list) error {
+	if err := table.check(); err != nil {
+		return err
+	}
 	checks := []struct {
 		lname string
 		l     *list
@@ -365,25 +403,25 @@ func checkARCFlags(name string, table map[PageID]*node, t1, t2, b1, b2 *list) er
 func (p *ARC) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
 
 func (p *ARC) checkInvariants(deep bool) error {
-	if err := checkARCShape("arc", p.capacity, p.p, p.table, p.t1, p.t2, p.b1, p.b2); err != nil {
+	if err := checkARCShape("arc", p.capacity, p.p, &p.table, p.t1, p.t2, p.b1, p.b2); err != nil {
 		return err
 	}
 	if !deep {
 		return nil
 	}
-	return checkARCFlags("arc", p.table, p.t1, p.t2, p.b1, p.b2)
+	return checkARCFlags("arc", &p.table, p.t1, p.t2, p.b1, p.b2)
 }
 
 func (p *CAR) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
 
 func (p *CAR) checkInvariants(deep bool) error {
-	if err := checkARCShape("car", p.capacity, p.p, p.table, p.t1, p.t2, p.b1, p.b2); err != nil {
+	if err := checkARCShape("car", p.capacity, p.p, &p.table, p.t1, p.t2, p.b1, p.b2); err != nil {
 		return err
 	}
 	if !deep {
 		return nil
 	}
-	return checkARCFlags("car", p.table, p.t1, p.t2, p.b1, p.b2)
+	return checkARCFlags("car", &p.table, p.t1, p.t2, p.b1, p.b2)
 }
 
 // ---- CLOCK / GCLOCK ----
@@ -447,14 +485,17 @@ func (p *ClockPro) checkInvariants(deep bool) error {
 	if p.coldTarget < 1 || p.coldTarget > p.capacity {
 		return fmt.Errorf("replacer: clockpro: cold target %d outside [1, %d]", p.coldTarget, p.capacity)
 	}
-	if got, want := len(p.table), p.nHot+p.nColdRes+p.nNR; got != want {
+	if got, want := p.table.len(), p.nHot+p.nColdRes+p.nNR; got != want {
 		return fmt.Errorf("replacer: clockpro: table %d != hot+cold+nonres %d", got, want)
 	}
-	if (p.handHot == nil) != (len(p.table) == 0) {
-		return fmt.Errorf("replacer: clockpro: hands nil=%v with %d entries", p.handHot == nil, len(p.table))
+	if (p.handHot == nil) != (p.table.len() == 0) {
+		return fmt.Errorf("replacer: clockpro: hands nil=%v with %d entries", p.handHot == nil, p.table.len())
 	}
 	if !deep {
 		return nil
+	}
+	if err := p.table.check(); err != nil {
+		return err
 	}
 	if p.handHot == nil {
 		return nil
@@ -481,12 +522,12 @@ func (p *ClockPro) checkInvariants(deep bool) error {
 				return fmt.Errorf("replacer: clockpro: non-resident page %v outside its test period", e.id)
 			}
 		}
-		if got, ok := p.table[e.id]; !ok || got != e {
+		if p.table.get(e.id) != e {
 			return fmt.Errorf("replacer: clockpro: ring node %v not backed by table entry", e.id)
 		}
 		n++
-		if n > len(p.table) {
-			return fmt.Errorf("replacer: clockpro: ring walk exceeds table size %d", len(p.table))
+		if n > p.table.len() {
+			return fmt.Errorf("replacer: clockpro: ring walk exceeds table size %d", p.table.len())
 		}
 		if e.next == p.handHot {
 			break
@@ -519,7 +560,7 @@ func (p *MQ) checkInvariants(deep bool) error {
 	if sum != p.length {
 		return fmt.Errorf("replacer: mq: queue sum %d != length %d", sum, p.length)
 	}
-	if got, want := len(p.table), p.length+p.qout.len(); got != want {
+	if got, want := p.table.len(), p.length+p.qout.len(); got != want {
 		return fmt.Errorf("replacer: mq: table %d != resident+ghosts %d", got, want)
 	}
 	if p.qout.len() > p.qoutCap {
@@ -527,6 +568,9 @@ func (p *MQ) checkInvariants(deep bool) error {
 	}
 	if !deep {
 		return nil
+	}
+	if err := p.table.check(); err != nil {
+		return err
 	}
 	for k, q := range p.queues {
 		_, err := walkList("mq", fmt.Sprintf("queue[%d]", k), q, func(nd *node) error {
@@ -542,7 +586,7 @@ func (p *MQ) checkInvariants(deep bool) error {
 				return fmt.Errorf("replacer: mq: node %v (freq %d) above its natural queue %d",
 					nd.id, nd.count, p.queueFor(nd.count))
 			}
-			return inTable("mq", "queue", p.table, nd)
+			return inTable("mq", "queue", &p.table, nd)
 		})
 		if err != nil {
 			return err
@@ -552,7 +596,7 @@ func (p *MQ) checkInvariants(deep bool) error {
 		if !nd.ghost {
 			return fmt.Errorf("replacer: mq: resident page %v on the ghost queue", nd.id)
 		}
-		return inTable("mq", "qout", p.table, nd)
+		return inTable("mq", "qout", &p.table, nd)
 	})
 	return err
 }

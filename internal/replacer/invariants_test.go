@@ -80,7 +80,7 @@ func TestInvariantCheckDetectsCorruption(t *testing.T) {
 			p.Admit(tid(i))
 		}
 		// Desynchronize table from list the way a lost-update bug would.
-		delete(p.table, tid(3))
+		p.table.remove(tid(3))
 		err := CheckDeep(p)
 		if err == nil {
 			t.Fatal("corrupted LRU passed CheckDeep")

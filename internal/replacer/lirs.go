@@ -23,7 +23,7 @@ type lirsEntry struct {
 	gElem *stdlist.Element // position on the ghost-age FIFO, nil if not ghost
 }
 
-// touch implements touchable for prefetching: it reads the fields a commit
+// touch is the prefetch walk (see prefetch.go): it reads the fields a commit
 // would access — the entry's state and its stack neighbours.
 func (e *lirsEntry) touch() uint64 {
 	s := uint64(e.id) ^ uint64(e.state)
@@ -50,12 +50,11 @@ func (e *lirsEntry) touch() uint64 {
 // pages — LIR, resident HIR, and a bounded number of non-resident HIR
 // ghosts — and drives promotion/demotion between the sets.
 type LIRS struct {
-	prefetchIndex
 	capacity  int
 	llirs     int // target LIR set size
 	lhirs     int // target resident-HIR set size (= capacity - llirs)
 	ghostCap  int // max non-resident HIR entries retained
-	table     map[PageID]*lirsEntry
+	table     entryTable[lirsEntry, *lirsEntry]
 	s         *stdlist.List // recency stack; Front = most recent
 	q         *stdlist.List // resident HIR queue; Front = oldest (victim end)
 	ghostAge  *stdlist.List // ghosts in creation order; Front = oldest
@@ -90,16 +89,17 @@ func NewLIRSTuned(capacity, lhirs, ghostCap int) *LIRS {
 	if ghostCap < 0 {
 		panic("replacer: lirs: ghostCap must be >= 0")
 	}
-	return &LIRS{
+	p := &LIRS{
 		capacity: capacity,
 		llirs:    capacity - lhirs,
 		lhirs:    lhirs,
 		ghostCap: ghostCap,
-		table:    make(map[PageID]*lirsEntry, capacity+ghostCap),
 		s:        stdlist.New(),
 		q:        stdlist.New(),
 		ghostAge: stdlist.New(),
 	}
+	p.table.init("lirs", capacity+ghostCap)
+	return p
 }
 
 // Name implements Policy.
@@ -113,8 +113,8 @@ func (p *LIRS) Len() int { return p.nResident }
 
 // Contains reports whether id is resident (LIR or resident HIR).
 func (p *LIRS) Contains(id PageID) bool {
-	e, ok := p.table[id]
-	return ok && e.state != lirsHIRGhost
+	e := p.table.get(id)
+	return e != nil && e.state != lirsHIRGhost
 }
 
 // LIRCount returns the current number of LIR pages; used by invariant tests.
@@ -125,8 +125,8 @@ func (p *LIRS) GhostCount() int { return p.ghostAge.Len() }
 
 // Hit records an access to a resident page.
 func (p *LIRS) Hit(id PageID) {
-	e, ok := p.table[id]
-	if !ok || e.state == lirsHIRGhost {
+	e := p.table.get(id)
+	if e == nil || e.state == lirsHIRGhost {
 		return
 	}
 	switch e.state {
@@ -205,7 +205,7 @@ func (p *LIRS) prune() {
 		e.sElem = nil
 		if e.state == lirsHIRGhost {
 			p.ghostAge.Remove(e.gElem)
-			delete(p.table, e.id)
+			p.table.remove(e.id)
 		}
 	}
 }
@@ -213,21 +213,21 @@ func (p *LIRS) prune() {
 // Admit makes id resident after a miss, evicting the oldest resident HIR
 // page if the buffer is full.
 func (p *LIRS) Admit(id PageID) (victim PageID, evicted bool) {
-	e, present := p.table[id]
+	e := p.table.get(id)
+	present := e != nil
 	if present && e.state != lirsHIRGhost {
 		mustAbsent("lirs", true)
 	}
 	if present {
 		// Ghost hit: fully detach the history entry now, so that the
 		// eviction below (ghost trimming, pruning) cannot free the entry
-		// we are about to promote.
+		// we are about to promote. It stays in the table.
 		p.ghostAge.Remove(e.gElem)
 		e.gElem = nil
 		if e.sElem != nil {
 			p.s.Remove(e.sElem)
 			e.sElem = nil
 		}
-		delete(p.table, id)
 	}
 	if p.nResident == p.capacity {
 		victim = p.evictHIR()
@@ -236,16 +236,15 @@ func (p *LIRS) Admit(id PageID) (victim PageID, evicted bool) {
 	switch {
 	case p.nLIR < p.llirs && !present:
 		// Warm-up (or post-Remove refill): fill the LIR set first.
-		e = &lirsEntry{id: id, state: lirsLIR}
+		e = p.table.insert(id)
+		*e = lirsEntry{id: id, state: lirsLIR}
 		e.sElem = p.s.PushFront(e)
-		p.table[id] = e
 		p.nLIR++
 	case present:
 		// Ghost hit: small reuse distance, so the page enters as LIR and
 		// the stack-bottom LIR page is demoted.
 		e.state = lirsLIR
 		e.sElem = p.s.PushFront(e)
-		p.table[id] = e
 		p.nLIR++
 		if p.nLIR > p.llirs {
 			p.demoteBottom()
@@ -253,13 +252,12 @@ func (p *LIRS) Admit(id PageID) (victim PageID, evicted bool) {
 		p.prune()
 	default:
 		// Cold miss with a full LIR set: enter as resident HIR.
-		e = &lirsEntry{id: id, state: lirsHIR}
+		e = p.table.insert(id)
+		*e = lirsEntry{id: id, state: lirsHIR}
 		e.sElem = p.s.PushFront(e)
 		e.qElem = p.q.PushBack(e)
-		p.table[id] = e
 	}
 	p.nResident++
-	p.note(id, e)
 	return victim, evicted
 }
 
@@ -283,7 +281,6 @@ func (p *LIRS) evictHIR() PageID {
 	p.q.Remove(front)
 	e.qElem = nil
 	p.nResident--
-	p.forget(e.id)
 	if e.sElem != nil && p.ghostCap > 0 {
 		// Still on the stack: keep it as a ghost so a prompt re-reference
 		// is recognised as low-IRR.
@@ -296,22 +293,22 @@ func (p *LIRS) evictHIR() PageID {
 			if g.sElem != nil {
 				p.s.Remove(g.sElem)
 			}
-			delete(p.table, g.id)
+			p.table.remove(g.id)
 		}
 	} else {
 		if e.sElem != nil {
 			p.s.Remove(e.sElem)
 			e.sElem = nil
 		}
-		delete(p.table, e.id)
+		p.table.remove(e.id)
 	}
 	return e.id
 }
 
 // Remove deletes a page from the resident set (and its history entry).
 func (p *LIRS) Remove(id PageID) {
-	e, ok := p.table[id]
-	if !ok {
+	e := p.table.get(id)
+	if e == nil {
 		return
 	}
 	if e.sElem != nil {
@@ -322,16 +319,17 @@ func (p *LIRS) Remove(id PageID) {
 	case lirsLIR:
 		p.nLIR--
 		p.nResident--
-		p.forget(id)
 		p.prune()
 	case lirsHIR:
 		p.q.Remove(e.qElem)
 		e.qElem = nil
 		p.nResident--
-		p.forget(id)
 	case lirsHIRGhost:
 		p.ghostAge.Remove(e.gElem)
 		e.gElem = nil
 	}
-	delete(p.table, id)
+	p.table.remove(id)
 }
+
+// Prefetch implements Prefetcher over the page table.
+func (p *LIRS) Prefetch(ids []PageID) { p.table.prefetch(ids) }

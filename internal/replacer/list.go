@@ -16,9 +16,12 @@ type node struct {
 	count int   // GCLOCK counter, LFU frequency, MQ frequency
 	hot   bool  // LIRS: LIR page; CLOCK-Pro: hot page; 2Q: in Am
 	ghost bool  // entry is history-only (non-resident)
-	level int   // MQ queue index
+	level int   // MQ queue index; LFU bucket slot
 	tick  int64 // MQ expiry time / LIRS recency aid
 }
+
+// nodeTable is the page table of the policies built on node.
+type nodeTable = entryTable[node, *node]
 
 // list is a sentinel-based circular doubly-linked list of nodes.
 // The zero value is not usable; call init first (newList does).

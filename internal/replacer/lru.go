@@ -6,9 +6,8 @@ package replacer
 // (CLOCK) stock PostgreSQL adopted for scalability, and the canonical
 // example used throughout the BP-Wrapper paper.
 type LRU struct {
-	prefetchIndex
 	capacity int
-	table    map[PageID]*node
+	table    nodeTable
 	lst      *list // front = MRU, back = LRU
 }
 
@@ -18,11 +17,9 @@ var _ Prefetcher = (*LRU)(nil)
 // NewLRU returns an LRU policy holding at most capacity pages.
 func NewLRU(capacity int) *LRU {
 	checkCap("lru", capacity)
-	return &LRU{
-		capacity: capacity,
-		table:    make(map[PageID]*node, capacity),
-		lst:      newList(),
-	}
+	p := &LRU{capacity: capacity, lst: newList()}
+	p.table.init("lru", capacity)
+	return p
 }
 
 // Name implements Policy.
@@ -35,14 +32,11 @@ func (p *LRU) Cap() int { return p.capacity }
 func (p *LRU) Len() int { return p.lst.len() }
 
 // Contains implements Policy.
-func (p *LRU) Contains(id PageID) bool {
-	_, ok := p.table[id]
-	return ok
-}
+func (p *LRU) Contains(id PageID) bool { return p.table.get(id) != nil }
 
 // Hit moves the page to the MRU position. Non-resident ids are ignored.
 func (p *LRU) Hit(id PageID) {
-	if nd, ok := p.table[id]; ok {
+	if nd := p.table.get(id); nd != nil {
 		p.lst.moveToFront(nd)
 	}
 }
@@ -54,12 +48,14 @@ func (p *LRU) Admit(id PageID) (victim PageID, evicted bool) {
 	if p.Len() == p.capacity {
 		victim, evicted = p.Evict()
 	}
-	nd := &node{id: id}
-	p.table[id] = nd
+	nd := p.table.insert(id)
+	*nd = node{id: id}
 	p.lst.pushFront(nd)
-	p.note(id, nd)
 	return victim, evicted
 }
+
+// Prefetch implements Prefetcher over the page table.
+func (p *LRU) Prefetch(ids []PageID) { p.table.prefetch(ids) }
 
 // Evict removes and returns the page at the LRU position.
 func (p *LRU) Evict() (PageID, bool) {
@@ -67,16 +63,14 @@ func (p *LRU) Evict() (PageID, bool) {
 	if nd == nil {
 		return 0, false
 	}
-	delete(p.table, nd.id)
-	p.forget(nd.id)
+	p.table.remove(nd.id)
 	return nd.id, true
 }
 
 // Remove deletes a page from the resident set.
 func (p *LRU) Remove(id PageID) {
-	if nd, ok := p.table[id]; ok {
+	if nd := p.table.get(id); nd != nil {
 		p.lst.remove(nd)
-		delete(p.table, id)
-		p.forget(id)
+		p.table.remove(id)
 	}
 }

@@ -1,7 +1,5 @@
 package replacer
 
-import "container/heap"
-
 // LRUK implements the LRU-K replacement algorithm (O'Neil, O'Neil &
 // Weikum, SIGMOD 1993) for K=2 by default. 2Q — the BP-Wrapper paper's
 // headline policy — was introduced as "a low overhead, high performance"
@@ -17,14 +15,16 @@ import "container/heap"
 //
 // The victim search uses a lazy min-heap keyed by the K-th reference time:
 // stale heap entries (for pages re-referenced or evicted since the entry
-// was pushed) are skipped on pop, keeping Hit at O(log n) amortized.
+// was pushed) are skipped on pop, keeping Hit at O(log n) amortized. The
+// heap's backing array is sized for its compaction threshold up front, and
+// entries carry their history in slab-owned arrays, so no operation
+// allocates.
 type LRUK struct {
-	prefetchIndex
 	capacity int
 	k        int
 	clock    int64
 
-	table map[PageID]*lrukEntry
+	table entryTable[lrukEntry, *lrukEntry]
 	heap  lrukHeap
 }
 
@@ -34,10 +34,10 @@ type lrukEntry struct {
 	id      PageID
 	hist    []int64 // hist[i]: i-th most recent is maintained via rotation
 	n       int     // references recorded (capped at k)
-	version uint64  // bumped on every update; stale heap items are skipped
+	version uint64  // bumped on every update and on removal; never reset
 }
 
-// touch implements touchable for prefetching.
+// touch is the prefetch walk (see prefetch.go).
 func (e *lrukEntry) touch() uint64 {
 	s := uint64(e.id) ^ uint64(e.n) ^ e.version
 	for _, h := range e.hist {
@@ -65,23 +65,67 @@ type lrukItem struct {
 	recent  int64
 }
 
+// lrukHeap is a binary min-heap of snapshots ordered by (kth, recent). Its
+// sift-up and sift-down follow container/heap step for step, without
+// boxing items into interface values.
 type lrukHeap []lrukItem
 
-func (h lrukHeap) Len() int { return len(h) }
-func (h lrukHeap) Less(i, j int) bool {
+func (h lrukHeap) less(i, j int) bool {
 	if h[i].kth != h[j].kth {
 		return h[i].kth < h[j].kth
 	}
 	return h[i].recent < h[j].recent
 }
-func (h lrukHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *lrukHeap) Push(x any)   { *h = append(*h, x.(lrukItem)) }
-func (h *lrukHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
+
+func (h *lrukHeap) push(it lrukItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+func (h *lrukHeap) pop() lrukItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	s.down(0, n)
+	it := s[n]
+	*h = s[:n]
 	return it
+}
+
+// init establishes the heap order over the whole slice.
+func (h lrukHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h lrukHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h lrukHeap) down(i, n int) {
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 { // j < 0 after int overflow
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 var (
@@ -99,11 +143,13 @@ func NewLRUK(capacity, k int) *LRUK {
 	if k < 1 {
 		panic("replacer: lruk: k must be >= 1")
 	}
-	return &LRUK{
-		capacity: capacity,
-		k:        k,
-		table:    make(map[PageID]*lrukEntry, capacity),
+	p := &LRUK{capacity: capacity, k: k, heap: make(lrukHeap, 0, 8*capacity+1)}
+	p.table.init("lru2", capacity)
+	hist := make([]int64, capacity*k)
+	for i := range p.table.slab {
+		p.table.slab[i].hist = hist[i*k : (i+1)*k : (i+1)*k]
 	}
+	return p
 }
 
 // Name implements Policy.
@@ -113,13 +159,10 @@ func (p *LRUK) Name() string { return "lru2" }
 func (p *LRUK) Cap() int { return p.capacity }
 
 // Len implements Policy.
-func (p *LRUK) Len() int { return len(p.table) }
+func (p *LRUK) Len() int { return p.table.len() }
 
 // Contains implements Policy.
-func (p *LRUK) Contains(id PageID) bool {
-	_, ok := p.table[id]
-	return ok
-}
+func (p *LRUK) Contains(id PageID) bool { return p.table.get(id) != nil }
 
 // record registers a reference: rotate the history and repush the heap
 // snapshot.
@@ -133,7 +176,7 @@ func (p *LRUK) record(e *lrukEntry) {
 	}
 	e.version++
 	kth, recent := e.kDistanceKey(p.k)
-	heap.Push(&p.heap, lrukItem{entry: e, version: e.version, kth: kth, recent: recent})
+	p.heap.push(lrukItem{entry: e, version: e.version, kth: kth, recent: recent})
 	if len(p.heap) > 8*p.capacity {
 		p.compact()
 	}
@@ -143,16 +186,17 @@ func (p *LRUK) record(e *lrukEntry) {
 // snapshots; amortized O(1) per operation by the 8× growth trigger.
 func (p *LRUK) compact() {
 	p.heap = p.heap[:0]
-	for _, e := range p.table {
+	p.table.each(func(_ PageID, e *lrukEntry) error {
 		kth, recent := e.kDistanceKey(p.k)
 		p.heap = append(p.heap, lrukItem{entry: e, version: e.version, kth: kth, recent: recent})
-	}
-	heap.Init(&p.heap)
+		return nil
+	})
+	p.heap.init()
 }
 
 // Hit implements Policy.
 func (p *LRUK) Hit(id PageID) {
-	if e, ok := p.table[id]; ok {
+	if e := p.table.get(id); e != nil {
 		p.record(e)
 	}
 }
@@ -160,28 +204,27 @@ func (p *LRUK) Hit(id PageID) {
 // Admit implements Policy.
 func (p *LRUK) Admit(id PageID) (victim PageID, evicted bool) {
 	mustAbsent("lru2", p.Contains(id))
-	if len(p.table) == p.capacity {
+	if p.table.len() == p.capacity {
 		victim, evicted = p.Evict()
 	}
-	e := &lrukEntry{id: id, hist: make([]int64, p.k)}
-	p.table[id] = e
+	e := p.table.insert(id)
+	e.id, e.n = id, 0
+	clear(e.hist)
 	p.record(e)
-	p.note(id, e)
 	return victim, evicted
 }
 
 // Evict implements Policy: pop heap items until one matches a live,
-// current entry; that page has the maximal backward K-distance.
+// current entry; that page has the maximal backward K-distance. An item is
+// current iff its version is its entry's: versions only grow, across
+// removal and reuse of the slab entry alike.
 func (p *LRUK) Evict() (PageID, bool) {
-	for p.heap.Len() > 0 {
-		it := heap.Pop(&p.heap).(lrukItem)
-		e := it.entry
-		if cur, ok := p.table[e.id]; !ok || cur != e || e.version != it.version {
-			continue // stale snapshot
+	for len(p.heap) > 0 {
+		it := p.heap.pop()
+		if e := it.entry; e.version == it.version {
+			p.drop(e)
+			return e.id, true
 		}
-		delete(p.table, e.id)
-		p.forget(e.id)
-		return e.id, true
 	}
 	return 0, false
 }
@@ -189,8 +232,16 @@ func (p *LRUK) Evict() (PageID, bool) {
 // Remove implements Policy. The heap entries become stale and are skipped
 // lazily.
 func (p *LRUK) Remove(id PageID) {
-	if _, ok := p.table[id]; ok {
-		delete(p.table, id)
-		p.forget(id)
+	if e := p.table.get(id); e != nil {
+		p.drop(e)
 	}
 }
+
+// drop unmaps e, invalidating its heap snapshots.
+func (p *LRUK) drop(e *lrukEntry) {
+	e.version++
+	p.table.remove(e.id)
+}
+
+// Prefetch implements Prefetcher over the page table.
+func (p *LRUK) Prefetch(ids []PageID) { p.table.prefetch(ids) }

@@ -8,13 +8,12 @@ package replacer
 // that stop being accessed; evicted pages leave a frequency-remembering
 // ghost entry in Qout.
 type MQ struct {
-	prefetchIndex
 	capacity int
 	numQ     int   // number of frequency queues (m)
 	lifeTime int64 // accesses a page may sit in a queue before demotion
 	qoutCap  int   // ghost capacity
 
-	table  map[PageID]*node
+	table  nodeTable
 	queues []*list // queues[k]: front = LRU end, back = MRU end
 	qout   *list   // ghosts; front = oldest
 	now    int64   // logical clock, one tick per access
@@ -49,15 +48,16 @@ func NewMQTuned(capacity, numQ int, lifeTime int64, qoutCap int) *MQ {
 	for i := range qs {
 		qs[i] = newList()
 	}
-	return &MQ{
+	p := &MQ{
 		capacity: capacity,
 		numQ:     numQ,
 		lifeTime: lifeTime,
 		qoutCap:  qoutCap,
-		table:    make(map[PageID]*node, capacity+qoutCap),
 		queues:   qs,
 		qout:     newList(),
 	}
+	p.table.init("mq", capacity+qoutCap)
+	return p
 }
 
 // Name implements Policy.
@@ -71,8 +71,8 @@ func (p *MQ) Len() int { return p.length }
 
 // Contains reports whether id is resident.
 func (p *MQ) Contains(id PageID) bool {
-	nd, ok := p.table[id]
-	return ok && !nd.ghost
+	nd := p.table.get(id)
+	return nd != nil && !nd.ghost
 }
 
 // queueFor maps an access frequency to its queue index: ⌊log2(f)⌋ capped.
@@ -102,8 +102,8 @@ func (p *MQ) adjust() {
 // the MRU end of its (possibly higher) frequency queue, and its expiry is
 // renewed.
 func (p *MQ) Hit(id PageID) {
-	nd, ok := p.table[id]
-	if !ok || nd.ghost {
+	nd := p.table.get(id)
+	if nd == nil || nd.ghost {
 		return
 	}
 	p.now++
@@ -119,30 +119,28 @@ func (p *MQ) Hit(id PageID) {
 // if a ghost entry exists, and evicting the LRU page of the lowest
 // non-empty queue if at capacity.
 func (p *MQ) Admit(id PageID) (victim PageID, evicted bool) {
-	nd, present := p.table[id]
-	if present && !nd.ghost {
+	nd := p.table.get(id)
+	if nd != nil && !nd.ghost {
 		mustAbsent("mq", true)
 	}
 	p.now++
 	freq := 1
-	if present {
+	if nd != nil {
 		// Ghost hit: detach before eviction can trim it, and restore the
-		// remembered frequency.
+		// remembered frequency. The entry stays in the table.
 		p.qout.remove(nd)
-		delete(p.table, id)
 		freq = nd.count + 1
 	}
 	if p.length == p.capacity {
 		victim = p.evict()
 		evicted = true
 	}
-	nd = &node{id: id, count: freq}
-	nd.level = p.queueFor(freq)
-	nd.tick = p.now + p.lifeTime
-	p.table[id] = nd
+	if nd == nil {
+		nd = p.table.insert(id)
+	}
+	*nd = node{id: id, count: freq, level: p.queueFor(freq), tick: p.now + p.lifeTime}
 	p.queues[nd.level].pushBack(nd)
 	p.length++
-	p.note(id, nd)
 	p.adjust()
 	return victim, evicted
 }
@@ -164,16 +162,14 @@ func (p *MQ) evict() PageID {
 			continue
 		}
 		p.length--
-		p.forget(nd.id)
 		if p.qoutCap > 0 {
 			nd.ghost = true
 			p.qout.pushBack(nd)
 			if p.qout.len() > p.qoutCap {
-				old := p.qout.popFront()
-				delete(p.table, old.id)
+				p.table.remove(p.qout.popFront().id)
 			}
 		} else {
-			delete(p.table, nd.id)
+			p.table.remove(nd.id)
 		}
 		return nd.id
 	}
@@ -182,8 +178,8 @@ func (p *MQ) evict() PageID {
 
 // Remove deletes a page from the resident set (and any ghost entry).
 func (p *MQ) Remove(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
+	nd := p.table.get(id)
+	if nd == nil {
 		return
 	}
 	if nd.ghost {
@@ -191,7 +187,9 @@ func (p *MQ) Remove(id PageID) {
 	} else {
 		p.queues[nd.level].remove(nd)
 		p.length--
-		p.forget(id)
 	}
-	delete(p.table, id)
+	p.table.remove(id)
 }
+
+// Prefetch implements Prefetcher over the page table.
+func (p *MQ) Prefetch(ids []PageID) { p.table.prefetch(ids) }

@@ -1,67 +1,48 @@
 package replacer
 
-import "sync"
-
-// touchable is the contract between prefetchIndex and the per-policy
-// metadata entry types: touch performs the read-only field walk that
-// constitutes the prefetch, returning a throwaway checksum so the compiler
-// cannot eliminate the loads.
-type touchable interface {
-	touch() uint64
-}
-
-// prefetchIndex gives a policy a lock-free view of its page→entry mapping
-// so that BP-Wrapper's prefetching technique (Section III-B) can be
-// implemented safely in Go.
+// BP-Wrapper's prefetching technique (Section III-B) reads the replacement
+// algorithm's metadata for a batch of pages *without holding the lock*, so
+// the commit that follows finds those lines in the processor cache. On
+// hardware the racy read is safe because it only warms the cache and
+// coherence invalidates stale lines.
 //
-// The paper's prefetch reads the replacement algorithm's shared metadata
-// *without holding the lock*; on hardware this is safe because the reads
-// only warm the cache and coherence invalidates stale lines. In Go the
-// policy's primary map cannot be read concurrently with writes (the runtime
-// aborts on concurrent map access), so each prefetch-capable policy
-// additionally maintains this sync.Map side index: updated under the policy
-// lock on admit/evict/remove (rare, miss-path events), read lock-free by
-// Prefetch.
+// In Go the lookup half of that read must still be memory-safe. Each
+// prefetch-capable policy keeps its pages in an entryTable whose slots are
+// atomics over a never-reallocated slab, so the policy's own table is the
+// lock-free index: Prefetch probes it directly, concurrently with admits and
+// evictions, and any entry it reaches is valid memory even when the probe
+// raced with a move. There is no side index to maintain on the miss path.
+// (CLOCK and GCLOCK are the exception: their lock-free Hit needs a lookup
+// that never misses a resident page, so they keep a sync.Map; see clock.go.)
 //
 // The entry *field* reads in the walk are intentionally unsynchronized —
 // that racy read is the prefetch. The values are never used for decisions,
 // only summed into a sink to defeat dead-code elimination. Under the race
-// detector the field walk is skipped (see race_on.go) so instrumented test
-// runs stay clean while regular builds keep the real behaviour.
-type prefetchIndex struct {
-	m sync.Map // PageID → touchable
-}
+// detector the field walk is skipped (see race_on.go) while the atomic
+// probe still runs, so instrumented test runs stay clean and still exercise
+// the lock-free lookup.
 
-// note publishes id→entry. Callers must hold the policy lock.
-func (px *prefetchIndex) note(id PageID, e touchable) { px.m.Store(id, e) }
-
-// forget removes id. Callers must hold the policy lock.
-func (px *prefetchIndex) forget(id PageID) { px.m.Delete(id) }
-
-// Prefetch walks the metadata for ids read-only, loading the entry fields a
-// subsequent commit would touch (list links and per-page flags) into the
-// processor cache. It is safe to call concurrently with policy mutation;
-// stale or missing entries are harmless.
-func (px *prefetchIndex) Prefetch(ids []PageID) {
-	if raceEnabled {
-		// Resolving pointers through the sync.Map is safe, but the field
-		// walk is a deliberate data race; skip it in instrumented builds.
-		return
-	}
+// prefetch walks the metadata for ids read-only, loading the entry fields
+// a subsequent commit would touch (list links and per-page flags). It is
+// safe to call without the policy lock; missing or stale entries are
+// harmless.
+func (t *entryTable[E, P]) prefetch(ids []PageID) {
 	var sink uint64
 	for _, id := range ids {
-		if v, ok := px.m.Load(id); ok {
-			sink ^= v.(touchable).touch()
+		if e := t.get(id); e != nil && !raceEnabled {
+			sink ^= P(e).touch()
 		}
 	}
-	prefetchSink = sink
+	if !raceEnabled {
+		prefetchSink = sink
+	}
 }
 
 // prefetchSink receives the xor of all prefetched fields so the compiler
 // cannot eliminate the reads. It carries no meaning.
 var prefetchSink uint64
 
-// touch implements touchable for the shared node type: it reads the fields
+// touch is the prefetch walk for the shared node type: it reads the fields
 // a commit would access — the page's own metadata and the neighbouring link
 // pointers ("the forward and/or backward pointers involved in the movement
 // of accessed pages", Section III-B).

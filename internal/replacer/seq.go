@@ -21,10 +21,9 @@ package replacer
 // fires, the scans pollute the buffer, and the hit ratio collapses. See
 // the "distributed" experiment in internal/bench.
 type SEQ struct {
-	prefetchIndex
 	capacity  int
 	threshold int
-	table     map[PageID]*node
+	table     nodeTable
 	main      *list // front = MRU
 	scan      *list // scan-marked pages; front = MRU, evicted from back first
 
@@ -51,15 +50,16 @@ func NewSEQTuned(capacity, threshold int) *SEQ {
 	if threshold < 2 {
 		panic("replacer: seq: threshold must be >= 2")
 	}
-	return &SEQ{
+	p := &SEQ{
 		capacity:  capacity,
 		threshold: threshold,
-		table:     make(map[PageID]*node, capacity),
 		main:      newList(),
 		scan:      newList(),
 		lastMiss:  make(map[uint32]uint64),
 		runLen:    make(map[uint32]int),
 	}
+	p.table.init("seq", capacity)
+	return p
 }
 
 // Name implements Policy.
@@ -72,10 +72,7 @@ func (p *SEQ) Cap() int { return p.capacity }
 func (p *SEQ) Len() int { return p.main.len() + p.scan.len() }
 
 // Contains implements Policy.
-func (p *SEQ) Contains(id PageID) bool {
-	_, ok := p.table[id]
-	return ok
-}
+func (p *SEQ) Contains(id PageID) bool { return p.table.get(id) != nil }
 
 // ScanResident reports how many resident pages are currently scan-marked;
 // used by tests and diagnostics.
@@ -84,8 +81,8 @@ func (p *SEQ) ScanResident() int { return p.scan.len() }
 // Hit refreshes the page's recency; a re-referenced scan page has proven
 // reuse and is promoted to the main list.
 func (p *SEQ) Hit(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
+	nd := p.table.get(id)
+	if nd == nil {
 		return
 	}
 	if nd.ghost { // ghost flag doubles as the scan marker here
@@ -114,14 +111,13 @@ func (p *SEQ) Admit(id PageID) (victim PageID, evicted bool) {
 	if p.Len() == p.capacity {
 		victim, evicted = p.Evict()
 	}
-	nd := &node{id: id, ghost: inScan}
-	p.table[id] = nd
+	nd := p.table.insert(id)
+	*nd = node{id: id, ghost: inScan}
 	if inScan {
 		p.scan.pushFront(nd)
 	} else {
 		p.main.pushFront(nd)
 	}
-	p.note(id, nd)
 	return victim, evicted
 }
 
@@ -135,15 +131,14 @@ func (p *SEQ) Evict() (PageID, bool) {
 	if nd == nil {
 		return 0, false
 	}
-	delete(p.table, nd.id)
-	p.forget(nd.id)
+	p.table.remove(nd.id)
 	return nd.id, true
 }
 
 // Remove deletes a page from the resident set.
 func (p *SEQ) Remove(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
+	nd := p.table.get(id)
+	if nd == nil {
 		return
 	}
 	if nd.ghost {
@@ -151,6 +146,8 @@ func (p *SEQ) Remove(id PageID) {
 	} else {
 		p.main.remove(nd)
 	}
-	delete(p.table, id)
-	p.forget(id)
+	p.table.remove(id)
 }
+
+// Prefetch implements Prefetcher over the page table.
+func (p *SEQ) Prefetch(ids []PageID) { p.table.prefetch(ids) }

@@ -12,15 +12,14 @@ package replacer
 // the "full" 2Q's correlated-reference filter); hits on Am pages move them
 // to the MRU end — the operation the paper's batching defers.
 type TwoQ struct {
-	prefetchIndex
 	capacity int
 	kin      int // max length of A1in
 	kout     int // max length of A1out (ghosts)
 
-	table map[PageID]*node // resident and ghost entries
-	a1in  *list            // front = newest
-	a1out *list            // ghosts; front = newest
-	am    *list            // front = MRU
+	table nodeTable // resident and ghost entries
+	a1in  *list     // front = newest
+	a1out *list     // ghosts; front = newest
+	am    *list     // front = MRU
 }
 
 var (
@@ -44,15 +43,16 @@ func NewTwoQTuned(capacity, kin, kout int) *TwoQ {
 	if kout < 1 {
 		panic("replacer: 2q: kout must be >= 1")
 	}
-	return &TwoQ{
+	p := &TwoQ{
 		capacity: capacity,
 		kin:      kin,
 		kout:     kout,
-		table:    make(map[PageID]*node, capacity+kout),
 		a1in:     newList(),
 		a1out:    newList(),
 		am:       newList(),
 	}
+	p.table.init("2q", capacity+kout)
+	return p
 }
 
 // Name implements Policy.
@@ -67,16 +67,16 @@ func (p *TwoQ) Len() int { return p.a1in.len() + p.am.len() }
 // Contains reports whether id is resident (on A1in or Am; ghosts on A1out
 // are not resident).
 func (p *TwoQ) Contains(id PageID) bool {
-	nd, ok := p.table[id]
-	return ok && !nd.ghost
+	nd := p.table.get(id)
+	return nd != nil && !nd.ghost
 }
 
 // Hit records an access to a resident page: Am pages move to the MRU end;
 // A1in pages deliberately stay put (2Q's correlated-reference filter).
 // Ghost or absent ids are ignored.
 func (p *TwoQ) Hit(id PageID) {
-	nd, ok := p.table[id]
-	if !ok || nd.ghost {
+	nd := p.table.get(id)
+	if nd == nil || nd.ghost {
 		return
 	}
 	if nd.hot { // on Am
@@ -89,32 +89,30 @@ func (p *TwoQ) Hit(id PageID) {
 // page straight into Am; otherwise it enters A1in. If the buffer is full a
 // victim is reclaimed first, preferring A1in once it exceeds Kin.
 func (p *TwoQ) Admit(id PageID) (victim PageID, evicted bool) {
-	nd, present := p.table[id]
-	if present && !nd.ghost {
+	nd := p.table.get(id)
+	if nd != nil && !nd.ghost {
 		mustAbsent("2q", true)
 	}
-	if present {
+	if nd != nil {
 		// Ghost hit: detach the ghost now so that reclaim's A1out trimming
-		// cannot free the very entry we are promoting.
+		// cannot free the very entry we are promoting. The entry stays in
+		// the table throughout.
 		p.a1out.remove(nd)
-		delete(p.table, id)
 	}
 	if p.Len() == p.capacity {
 		victim = p.reclaim()
 		evicted = true
 	}
-	if present {
+	if nd != nil {
 		// The page has proven re-reference; admit straight into Am.
 		nd.ghost = false
 		nd.hot = true
-		p.table[id] = nd
 		p.am.pushFront(nd)
 	} else {
-		nd = &node{id: id}
-		p.table[id] = nd
+		nd = p.table.insert(id)
+		*nd = node{id: id}
 		p.a1in.pushFront(nd)
 	}
-	p.note(id, nd)
 	return victim, evicted
 }
 
@@ -124,19 +122,16 @@ func (p *TwoQ) Admit(id PageID) (victim PageID, evicted bool) {
 func (p *TwoQ) reclaim() PageID {
 	if p.a1in.len() > 0 && (p.a1in.len() >= p.kin || p.am.len() == 0) {
 		nd := p.a1in.popBack()
-		p.forget(nd.id)
 		// Keep the entry as a ghost on A1out.
 		nd.ghost = true
 		p.a1out.pushFront(nd)
 		if p.a1out.len() > p.kout {
-			old := p.a1out.popBack()
-			delete(p.table, old.id)
+			p.table.remove(p.a1out.popBack().id)
 		}
 		return nd.id
 	}
 	nd := p.am.popBack()
-	delete(p.table, nd.id)
-	p.forget(nd.id)
+	p.table.remove(nd.id)
 	return nd.id
 }
 
@@ -151,8 +146,8 @@ func (p *TwoQ) Evict() (PageID, bool) {
 
 // Remove deletes a page from the resident set (and drops any ghost entry).
 func (p *TwoQ) Remove(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
+	nd := p.table.get(id)
+	if nd == nil {
 		return
 	}
 	switch {
@@ -160,13 +155,14 @@ func (p *TwoQ) Remove(id PageID) {
 		p.a1out.remove(nd)
 	case nd.hot:
 		p.am.remove(nd)
-		p.forget(id)
 	default:
 		p.a1in.remove(nd)
-		p.forget(id)
 	}
-	delete(p.table, id)
+	p.table.remove(id)
 }
+
+// Prefetch implements Prefetcher over the page table.
+func (p *TwoQ) Prefetch(ids []PageID) { p.table.prefetch(ids) }
 
 // QueueLengths reports the current (A1in, A1out, Am) list lengths; used by
 // invariant tests and diagnostics.
