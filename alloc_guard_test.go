@@ -72,6 +72,47 @@ func TestDirtyEvictionAllocGuard(t *testing.T) {
 	}
 }
 
+// TestMissPathZeroAlloc cycles clean reads over four times more pages than
+// a one-shard 2Q pool has frames, so every access misses: it records the
+// miss, claims a clean victim's frame, admits the page, single-flights the
+// load and installs the frame. None of that may allocate.
+func TestMissPathZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops recycled load ops at random under the race detector")
+	}
+	const frames, pages = 64, 256
+	pool := buffer.New(buffer.Config{
+		Frames:        frames,
+		Shards:        1,
+		PolicyFactory: replacer.Factories()["2q"],
+		Device:        storage.NewMemDevice(),
+	})
+	s := pool.NewSession()
+	i := 0
+	read := func() {
+		ref, err := pool.Get(s, page.NewPageID(1, uint64(i%pages)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.Release()
+		i++
+	}
+	for i < 2*pages {
+		read()
+	}
+	s.Flush()
+	before := pool.AccessStats()
+	allocs := testing.AllocsPerRun(4*pages, read)
+	s.Flush()
+	after := pool.AccessStats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 0 || misses < 4*pages {
+		t.Fatalf("%d hits and %d misses: the loop is not missing on every access", hits, misses)
+	}
+	if allocs != 0 {
+		t.Errorf("a clean miss allocates %.2f times, want 0", allocs)
+	}
+}
+
 // TestClientDoAllocGuard sends bursts of 16 pipelined GETs of resident
 // pages through Client.Do against an in-process server. The results and
 // their page bytes reuse the client's buffers, so a GET costs only the

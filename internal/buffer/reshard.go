@@ -172,9 +172,9 @@ func (p *Pool) SwapPolicy(factory replacer.Factory) (from, to string, err error)
 		// Seeding the new policy can evict below capacity (queue-local
 		// bounds, 2Q's A1in say); those pages fell out of policy tracking
 		// while their frames stayed resident. Reclaim them through the
-		// shard's normal victim path so no frame is stranded unevictable.
+		// shard's eviction path so no frame is stranded unevictable.
 		for _, v := range residue {
-			sh.recycle(nil, v)
+			sh.reclaimResidue(v)
 		}
 	}
 	return from, to, nil
@@ -217,8 +217,9 @@ func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
 		if op, ok := b.loads[id]; ok {
 			// A pre-seal load is still in flight: wait for it to install
 			// (or fail), then re-probe.
+			op.refs.Add(1)
 			b.mu.Unlock()
-			<-op.done
+			op.wait()
 			continue
 		}
 		f := b.lookupLocked(id)
@@ -246,10 +247,7 @@ func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
 		b.removeLocked(id)
 		b.mu.Unlock()
 		sh.wrapper.Locked(func(pol replacer.Policy) { pol.Remove(id) })
-		f.toFree()
-		sh.freeMu.Lock()
-		sh.freeList = append(sh.freeList, f)
-		sh.freeMu.Unlock()
+		sh.freeFrame(f)
 		// A parked flush copy of this page (the sanctioned
 		// resident+quarantined overlap) is superseded by the frame bytes
 		// we just took — but its write-back was not confirmed, so the page

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,6 +126,11 @@ type shard struct {
 	quarantine map[page.PageID]*quarCopy
 	quarCap    int
 
+	// quarLen mirrors len(quarantine), stored under quarMu wherever the map
+	// changes, so the victim walk can test the cap under the policy lock
+	// without nesting quarMu inside it.
+	quarLen atomic.Int64
+
 	// quarTrace remembers, per parked page, which traced request did the
 	// parking (DESIGN.md §15): when the background writer or a flush sweep
 	// later makes the copy durable, the park-to-durable interval is emitted
@@ -154,6 +158,11 @@ type shard struct {
 	// turned down: the running total of the tally an exhausted reclaim's
 	// error carries (exported as bpw_reclaim_refusals_total).
 	reclaimRefusals [numRefusals]atomic.Int64
+
+	// held is the victim walk's scratch list of refused candidates, which
+	// are re-admitted before the hold ends. It grows on demand and is kept
+	// for the next walk. Guarded by the policy lock.
+	held []page.PageID
 
 	// healthState drives graceful degradation: breaker/quarantine-driven
 	// health evaluation and miss admission control (see health.go).
@@ -326,10 +335,36 @@ func (b *bucket) forEachLocked(fn func(page.PageID, *Frame)) {
 }
 
 // loadOp coordinates concurrent requests for a page that is being read
-// from the device: followers wait on done and then retry their lookup.
+// from the device. The loader holds mu from registration until the load
+// finishes; followers wait by locking it, read err, and retry their lookup.
+// Ops are recycled through loadOps, so each is reference-counted: the
+// registration holds one reference and every follower takes one under the
+// bucket mutex while the op is still registered. The last release recycles
+// the op, which therefore never answers a waiter of an earlier load.
 type loadOp struct {
-	done chan struct{}
+	mu   sync.Mutex
+	refs atomic.Int32
 	err  error
+}
+
+var loadOps = sync.Pool{New: func() any { return new(loadOp) }}
+
+// wait blocks until the load finishes, then drops the reference the caller
+// took under the bucket mutex and returns the load's error.
+func (op *loadOp) wait() error {
+	op.mu.Lock()
+	err := op.err
+	op.mu.Unlock()
+	op.release()
+	return err
+}
+
+// release drops a reference, recycling the op on the last one.
+func (op *loadOp) release() {
+	if op.refs.Add(-1) == 0 {
+		op.err = nil
+		loadOps.Put(op)
+	}
 }
 
 // init sizes and wires one shard for frames page slots.
@@ -527,9 +562,9 @@ func (sh *shard) get(ps *Session, idx int, id page.PageID, writable bool) (*Page
 }
 
 // load handles a miss: it single-flights concurrent requests for the same
-// page, obtains a frame (free or evicted), reads the page, and installs the
-// frame in the table. retry is true when the caller lost the race and
-// should restart its lookup.
+// page, obtains a frame (free or evicted) and admits the page in one policy
+// hold, reads the page, and installs the frame in the table. retry is true
+// when the caller lost the race and should restart its lookup.
 func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref *PageRef, retry bool, err error) {
 	sub := ps.subs[idx]
 	b := sh.bucketFor(id)
@@ -550,17 +585,19 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	}
 	if op, ok := b.loads[id]; ok {
 		// Another backend is loading this page: wait and retry.
+		op.refs.Add(1)
 		b.mu.Unlock()
-		<-op.done
-		if op.err != nil {
-			return nil, false, op.err
+		if err := op.wait(); err != nil {
+			return nil, false, err
 		}
 		return nil, true, nil
 	}
 	if b.loads == nil {
 		b.loads = make(map[page.PageID]*loadOp)
 	}
-	op := &loadOp{done: make(chan struct{})}
+	op := loadOps.Get().(*loadOp)
+	op.refs.Store(1)
+	op.mu.Lock()
 	b.loads[id] = op
 	b.mu.Unlock()
 
@@ -569,7 +606,8 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 		sh.lockBucket(b)
 		delete(b.loads, id)
 		b.mu.Unlock()
-		close(op.done)
+		op.mu.Unlock()
+		op.release()
 	}
 
 	// Fold this session's staged hits before counting the miss, so the
@@ -639,7 +677,10 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 			}
 			ps.trace.Slow(reqtrace.PhaseDeviceRead, idx, t0, ps.trace.Now()-t0, errArg, uint64(id))
 			if rerr != nil {
-				sh.abandonFrame(f)
+				// The page was admitted with the frame but never reached
+				// the table: it leaves the policy before the frame is freed.
+				sh.wrapper.Locked(func(pol replacer.Policy) { pol.Remove(id) })
+				sh.freeFrame(f)
 				finish(rerr)
 				return nil, false, rerr
 			}
@@ -661,80 +702,35 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	sh.lockBucket(b)
 	b.insertLocked(id, f)
 	b.mu.Unlock()
-
-	// Second phase of the miss protocol: the page has a frame and a table
-	// entry, so it may now become policy-resident. If a concurrent miss
-	// consumed the slot MissBegin freed, Admit evicts again and the spare
-	// victim's frame is recycled onto the free list.
-	if victim, evicted := sub.MissAdmit(id); evicted {
-		sh.recycle(&ps.trace, victim)
-	}
 	finish(nil)
 	return newPageRef(f, id, tag, writable), false, nil
 }
 
-// recycle reclaims a surplus victim's frame onto the free list, churning
-// through further candidates if the first is pinned.
-func (sh *shard) recycle(a *reqtrace.Active, victim page.PageID) {
-	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
-		if victim.Valid() {
-			f, why := sh.reclaim(a, victim)
-			if f != nil {
-				f.toFree()
-				sh.freeMu.Lock()
-				sh.freeList = append(sh.freeList, f)
-				sh.freeMu.Unlock()
-				return
-			}
-			sh.reclaimRefusals[why].Add(1)
-		}
-		runtime.Gosched()
-		v, ok := sh.nextVictim(victim, page.InvalidPageID, nil)
-		if !ok {
-			return // nothing evictable; the shard is simply over-admitted by pins
-		}
-		victim = v
-	}
+// victimWalk is one miss's search for a frame, carried across the policy
+// holds of acquireFrame.
+type victimWalk struct {
+	id      page.PageID  // the missing page, admitted once a frame is found
+	frame   *Frame       // the claimed frame; nil until found
+	victim  page.PageID  // the page evicted from frame; invalid for a free frame
+	dirty   bool         // the victim needs a write-back
+	offered bool         // the last hold's walk found a candidate
+	tried   int          // candidates refused so far
+	refused refusalTally // the same, by reason
 }
 
-// acquireFrame produces an empty, once-claimed frame for page id: from the
-// free list during warm-up, otherwise by evicting the policy's victim. The
-// access is recorded as a miss through the session (taking the policy lock
-// and committing any batched hits, per Figure 4 of the paper); the page
-// itself is admitted later by MissAdmit, once loaded.
+// acquireFrame produces an empty, once-claimed frame for page id and admits
+// id to the policy. The miss is recorded through the session, and in that
+// one policy-lock hold — which also commits the session's batched hits,
+// per Figure 4 of the paper — pickFrame chooses the frame and admits the
+// page. The claimed victim is evicted after the lock is released. When a
+// hold finds no claimable frame, the pinning goroutines get to run and the
+// walk resumes under the lock, up to 2×frames+1 refused candidates in
+// total; the error then carries the tally of refusals.
 func (sh *shard) acquireFrame(a *reqtrace.Active, sub *core.Session, id page.PageID) (*Frame, error) {
-	victim, evicted := sub.MissBegin(id, page.BufferTag{})
-	if !evicted {
-		sh.freeMu.Lock()
-		n := len(sh.freeList)
-		if n == 0 {
-			sh.freeMu.Unlock()
-			// The policy admitted without eviction but no free frame
-			// exists — possible only after Remove/invalidate churn; fall
-			// back to evicting explicitly.
-			return sh.reclaimLoop(a, id, page.InvalidPageID)
-		}
-		f := sh.freeList[n-1]
-		sh.freeList = sh.freeList[:n-1]
-		sh.freeMu.Unlock()
-		f.claimFree()
-		return f, nil
-	}
-	return sh.reclaimLoop(a, id, victim)
-}
-
-// reclaimLoop turns an eviction victim into a reusable frame, retrying
-// through the policy when the victim is pinned or mid-load. Bounded by
-// twice the shard size, after which every buffer is presumed pinned —
-// or, when the dirty quarantine is saturated (so dirty victims are being
-// refused rather than pinned), ErrQuarantineFull distinguishes overload
-// from a genuinely over-pinned pool. Either error carries the tally of
-// why each candidate was refused.
-func (sh *shard) reclaimLoop(a *reqtrace.Active, id, victim page.PageID) (*Frame, error) {
-	var refused refusalTally
-	var skip [reclaimSkip]page.PageID // the most recently refused distinct candidates
-	nskip := 0
-	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
+	w := victimWalk{id: id}
+	pick := func(pol replacer.Policy) { sh.pickFrame(pol, &w) }
+	sub.MissLocked(id, pick)
+	for pass := 1; w.frame == nil; pass++ {
 		if sh.sealed.Load() {
 			// A topology swap landed mid-load: stealPage is draining this
 			// shard's frames (and policy entries) out from under us, so a
@@ -742,31 +738,70 @@ func (sh *shard) reclaimLoop(a *reqtrace.Active, id, victim page.PageID) (*Frame
 			// new topology instead of reporting a phantom pin exhaustion.
 			return nil, errResharded
 		}
-		if victim.Valid() {
-			f, why := sh.reclaim(a, victim)
-			if f != nil {
-				return f, nil
-			}
-			refused[why]++
-			sh.reclaimRefusals[why].Add(1)
-			if !slices.Contains(skip[:min(nskip, reclaimSkip)], victim) {
-				skip[nskip%reclaimSkip] = victim
-				nskip++
-			}
+		if w.tried > 2*len(sh.frames) || (!w.offered && pass > 1) {
+			return nil, sh.reclaimFailure(w.refused)
 		}
-		// Victim unusable (pinned, mid-load, or none yet): let the pinning
-		// goroutines run — short pins are released in microseconds, but a
-		// tight retry loop can exhaust its attempts before the scheduler
-		// ever lets an unpin happen — then exchange the victim for a
-		// different candidate under the policy lock.
+		// Short pins are released in microseconds, but a tight retry loop
+		// can exhaust its bound before the scheduler ever lets an unpin
+		// happen.
 		runtime.Gosched()
-		v, ok := sh.nextVictim(victim, id, skip[:min(nskip, reclaimSkip)])
-		if !ok {
-			return nil, sh.reclaimFailure(refused)
-		}
-		victim = v
+		sh.wrapper.Locked(pick)
 	}
-	return nil, sh.reclaimFailure(refused)
+	if w.victim.Valid() {
+		sh.evictClaimed(a, w.victim, w.frame, w.dirty)
+	}
+	return w.frame, nil
+}
+
+// pickFrame is one policy hold of acquireFrame; the caller holds the policy
+// lock. While the policy has room it takes a free frame. Otherwise it walks
+// the policy's eviction candidates and claims the first one whose frame
+// claimFrame can take; every refused candidate is re-admitted before the
+// hold ends. The loading page is admitted last and has no table entry until
+// load installs it, so a concurrent walk refuses it as mid-load.
+func (sh *shard) pickFrame(pol replacer.Policy, w *victimWalk) {
+	w.offered = false
+	if pol.Len() < pol.Cap() {
+		sh.freeMu.Lock()
+		if n := len(sh.freeList); n > 0 {
+			w.frame = sh.freeList[n-1]
+			sh.freeList = sh.freeList[:n-1]
+			w.frame.claimFree()
+		}
+		sh.freeMu.Unlock()
+	}
+	held := sh.held[:0]
+	for w.frame == nil && w.tried <= 2*len(sh.frames) {
+		v, ok := pol.Evict()
+		if !ok {
+			break
+		}
+		w.offered = true
+		f, dirty, why := sh.claimFrame(v)
+		if f == nil {
+			w.refused[why]++
+			w.tried++
+			sh.reclaimRefusals[why].Add(1)
+			held = append(held, v)
+			continue
+		}
+		w.frame, w.victim, w.dirty = f, v, dirty
+	}
+	for _, h := range held {
+		mustAdmit(pol, h)
+	}
+	sh.held = held[:0]
+	if w.frame != nil {
+		mustAdmit(pol, w.id)
+	}
+}
+
+// mustAdmit admits id into a slot the caller freed, so the policy must not
+// evict: a victim here would leave the policy with its frame unaccounted.
+func mustAdmit(pol replacer.Policy, id page.PageID) {
+	if v, evicted := pol.Admit(id); evicted {
+		panic(fmt.Sprintf("buffer: %s evicted %v admitting %v into a free slot", pol.Name(), v, id))
+	}
 }
 
 // reclaimFailure picks the error for an exhausted reclaim. A shard sealed
@@ -787,7 +822,7 @@ func (sh *shard) reclaimFailure(refused refusalTally) error {
 	return fmt.Errorf("%w: %v", err, refused)
 }
 
-// refusal is why reclaim turned a victim candidate down.
+// refusal is why claimFrame turned a victim candidate down.
 type refusal uint8
 
 const (
@@ -819,70 +854,13 @@ func (t refusalTally) String() string {
 	return fmt.Sprintf("%d candidates refused (%s)", total, strings.Join(parts, ", "))
 }
 
-// reclaimSkip bounds how many refused candidates one reclaim remembers and
-// walks past. A shard's sessions hold few pins at once, so a handful covers
-// them, and the bound keeps each exchange to a few policy operations even
-// when every frame is pinned.
-const reclaimSkip = 8
-
-// nextVictim re-admits a wrongly evicted page prev (its frame turned out to
-// be pinned) and returns the replacement victim the policy chose instead;
-// with an invalid prev it simply asks the policy to evict one more page.
-// Candidates in skip (refused earlier by the same reclaim) are walked past
-// and re-admitted: a policy that ranks a fresh admission lowest (LFU,
-// LRU-2) would otherwise hand the re-admitted pinned pages straight back,
-// and the exchange would cycle through them until the retry bound ran out
-// while unpinned frames sat idle. Only when every remaining candidate is in
-// skip is the first of them returned again.
-// protect is the page currently being loaded: if the exchange throws it
-// out, it is immediately re-admitted so its residency survives (Admit never
-// returns the page it admits, so this terminates).
-func (sh *shard) nextVictim(prev, protect page.PageID, skip []page.PageID) (page.PageID, bool) {
-	var victim page.PageID
-	var evicted bool
-	sh.wrapper.Locked(func(pol replacer.Policy) {
-		if prev.Valid() && !pol.Contains(prev) {
-			victim, evicted = pol.Admit(prev)
-			if !evicted {
-				// The policy had spare capacity (two-phase misses leave a
-				// slot open while a page is in flight), so the
-				// re-admission displaced nothing; take a fresh victim
-				// explicitly.
-				victim, evicted = pol.Evict()
-			}
-		} else {
-			// prev was re-admitted by a concurrent loader (or there is no
-			// prev): take a fresh victim without admitting anything.
-			victim, evicted = pol.Evict()
-		}
-		var held [reclaimSkip]page.PageID
-		n := 0
-		for evicted && n < len(held) && slices.Contains(skip, victim) {
-			held[n] = victim
-			n++
-			victim, evicted = pol.Evict()
-		}
-		readmit := held[:n]
-		if !evicted && n > 0 {
-			victim, evicted = held[0], true
-			readmit = held[1:n]
-		}
-		for _, h := range readmit {
-			pol.Admit(h) // the walk freed a slot for each: evicts nothing
-		}
-		if evicted && protect.Valid() && victim == protect {
-			victim, evicted = pol.Admit(protect)
-		}
-	})
-	return victim, evicted
-}
-
-// reclaim tries to take exclusive ownership of the victim's frame: it
-// succeeds only if the frame is unpinned, writing back dirty contents and
-// removing the table entry. On success the frame is returned claimed
-// (recycling, one claim pin, generation bumped) with its old tag still in
-// tagPage — harmless, since the recycling bit makes every tryPin refuse it
-// until install or toFree overwrites the identity.
+// claimFrame tries to take exclusive ownership of the victim's frame. It
+// succeeds only if the frame is unpinned, returning it claimed (recycling,
+// one claim pin, generation bumped) with its old tag still in tagPage —
+// harmless, since the recycling bit makes every tryPin refuse it until
+// install or toFree overwrites the identity — and whether the page is
+// dirty. The victim walk calls it under the policy lock, so it takes no
+// lock but, on a torn probe, the victim's bucket mutex.
 //
 // The claim itself is one CAS (tryClaim): it can only succeed against a
 // state with zero pins and no writer, and the generation bump means any
@@ -890,65 +868,64 @@ func (sh *shard) nextVictim(prev, protect page.PageID, skip []page.PageID) (page
 // pin CAS — the lookup→pin race is settled by the state word alone, no
 // frame mutex (DESIGN.md §12).
 //
+// A dirty victim is refused up front when the quarantine is already at
+// capacity, so the walk moves on to another (ideally clean) candidate.
+// On refusal the frame is nil and the reason says why.
+func (sh *shard) claimFrame(victim page.PageID) (f *Frame, dirty bool, why refusal) {
+	f = sh.lookupAny(sh.bucketFor(victim), victim)
+	if f == nil {
+		// Policy said resident but the table has no entry: the page is
+		// mid-load by another backend (its frame is claimed anyway).
+		return nil, false, refusedMidLoad
+	}
+	for {
+		s := f.state.Load()
+		if s&frameWLock != 0 {
+			return nil, false, refusedWriter
+		}
+		if s&frameRecycling != 0 || s&framePinMask != 0 {
+			return nil, false, refusedPinned
+		}
+		if page.PageID(f.tagPage.Load()) != victim {
+			return nil, false, refusedRetagged
+		}
+		if s&frameDirty != 0 && sh.quarantineFull() {
+			// No room to guarantee durability for another dirty page; leave
+			// this frame untouched and let the caller try a different victim.
+			sh.quarRefusals.Add(1)
+			return nil, false, refusedQuarantine
+		}
+		if f.tryClaim(s) {
+			return f, s&frameDirty != 0, reclaimed
+		}
+		// Lost a race (a reader pinned, a writer dirtied…); re-evaluate.
+	}
+}
+
+// evictClaimed finishes the eviction of a victim whose frame claimFrame
+// took: it removes the table entry and, for a dirty victim, writes the page
+// back. It runs without the policy lock.
+//
 // Dirty victims are evicted losslessly: the page copy is parked in the
 // quarantine *before* the table entry disappears, then written back. While
 // the copy is quarantined a concurrent miss for the same page adopts it
 // (see load) instead of re-reading a possibly stale version from the
 // device. If the write-back fails the copy simply stays quarantined —
 // drained later by the background writer, FlushDirty, or Close — so an
-// acknowledged write is never dropped. When the quarantine is already at
-// capacity the eviction is refused up front and the caller churns to
-// another (ideally clean) victim.
-//
-// On refusal the frame is nil and the reason says why; on success the
-// reason is reclaimed.
-func (sh *shard) reclaim(a *reqtrace.Active, victim page.PageID) (*Frame, refusal) {
-	b := sh.bucketFor(victim)
-	f := sh.lookupAny(b, victim)
-	if f == nil {
-		// Policy said resident but the table has no entry: the page is
-		// mid-load by another backend (its frame is claimed anyway).
-		return nil, refusedMidLoad
-	}
-	var s uint64
-	for {
-		s = f.state.Load()
-		if s&frameWLock != 0 {
-			return nil, refusedWriter
-		}
-		if s&frameRecycling != 0 || s&framePinMask != 0 {
-			return nil, refusedPinned
-		}
-		if page.PageID(f.tagPage.Load()) != victim {
-			return nil, refusedRetagged
-		}
-		if s&frameDirty != 0 && sh.quarantineFull() {
-			// No room to guarantee durability for another dirty page; leave
-			// this frame untouched and let the caller try a different victim.
-			sh.quarRefusals.Add(1)
-			return nil, refusedQuarantine
-		}
-		if f.tryClaim(s) {
-			break
-		}
-		// Lost a race (a reader pinned, a writer dirtied…); re-evaluate.
-	}
-	needWriteback := s&frameDirty != 0
+// acknowledged write is never dropped.
+func (sh *shard) evictClaimed(a *reqtrace.Active, victim page.PageID, f *Frame, dirty bool) {
 	var wb *quarCopy
-	if needWriteback {
+	var dirtyArg uint64
+	if dirty {
 		// The claim made the frame exclusively ours: the copy reads
 		// stable bytes.
 		wb = newQuarCopy(&f.data)
-	}
-
-	var dirtyArg uint64
-	if needWriteback {
 		dirtyArg = 1
 	}
 	sh.events.Record(obs.EvEvict, uint64(victim), dirtyArg)
 
 	sched.Yield(sched.BufReclaimClaim)
-	if needWriteback {
+	if dirty {
 		// Parking a dirty victim means a device write follows inline: a
 		// slow phase, so it lazily arms the trace (the request is paying
 		// another page's write-back — exactly the latency a decomposition
@@ -958,11 +935,12 @@ func (sh *shard) reclaim(a *reqtrace.Active, victim page.PageID) (*Frame, refusa
 		a.Slow(reqtrace.PhaseQuarantine, -1, t0, a.Now()-t0, 1, uint64(victim))
 	}
 
+	b := sh.bucketFor(victim)
 	sh.lockBucket(b)
 	b.removeLocked(victim)
 	b.mu.Unlock()
 
-	if needWriteback {
+	if dirty {
 		sched.Yield(sched.BufQuarantinePark)
 		t0 := a.Now()
 		_, werr := sh.writeQuarantined(victim, wb, a.ID())
@@ -978,7 +956,30 @@ func (sh *shard) reclaim(a *reqtrace.Active, victim page.PageID) (*Frame, refusa
 			sh.writeBackFailures.Add(1)
 		}
 	}
-	return f, reclaimed
+}
+
+// reclaimResidue frees the frame of a page that fell out of the policy
+// while SwapPolicy seeded the new one, waiting out short pins. A page that
+// stays pinned is admitted back into the slot it left, so its frame stays
+// evictable; the recycling check keeps a page that invalidate is removing
+// from coming back frameless.
+func (sh *shard) reclaimResidue(id page.PageID) {
+	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
+		f, dirty, why := sh.claimFrame(id)
+		if f != nil {
+			sh.evictClaimed(nil, id, f, dirty)
+			sh.freeFrame(f)
+			return
+		}
+		sh.reclaimRefusals[why].Add(1)
+		runtime.Gosched()
+	}
+	sh.wrapper.Locked(func(pol replacer.Policy) {
+		f := sh.lookupAny(sh.bucketFor(id), id)
+		if f != nil && f.state.Load()&frameRecycling == 0 && !pol.Contains(id) && pol.Len() < pol.Cap() {
+			pol.Admit(id)
+		}
+	})
 }
 
 // writeQuarantined makes the quarantined copy of id durable and resolves
@@ -1046,6 +1047,7 @@ func (sh *shard) quarantinePut(id page.PageID, copy *quarCopy, a *reqtrace.Activ
 		delete(sh.quarTrace, id)
 	}
 	n := len(sh.quarantine)
+	sh.quarLen.Store(int64(n))
 	sh.quarMu.Unlock()
 	if old != nil {
 		old.release()
@@ -1063,6 +1065,7 @@ func (sh *shard) quarantineTake(id page.PageID) *quarCopy {
 	if q != nil {
 		delete(sh.quarantine, id)
 		delete(sh.quarTrace, id)
+		sh.quarLen.Store(int64(len(sh.quarantine)))
 	}
 	sh.quarMu.Unlock()
 	return q
@@ -1083,6 +1086,7 @@ func (sh *shard) quarantineResolve(id page.PageID, copy *quarCopy) quarCtx {
 		delete(sh.quarantine, id)
 		tc = sh.quarTrace[id]
 		delete(sh.quarTrace, id)
+		sh.quarLen.Store(int64(len(sh.quarantine)))
 	}
 	sh.quarMu.Unlock()
 	if resolved {
@@ -1091,21 +1095,13 @@ func (sh *shard) quarantineResolve(id page.PageID, copy *quarCopy) quarCtx {
 	return tc
 }
 
-func (sh *shard) quarantineFull() bool {
-	sh.quarMu.Lock()
-	full := len(sh.quarantine) >= sh.quarCap
-	sh.quarMu.Unlock()
-	return full
-}
+// quarantineFull reports whether the quarantine is at its cap. It takes no
+// lock, so the victim walk may call it under the policy lock.
+func (sh *shard) quarantineFull() bool { return sh.quarantineLen() >= sh.quarCap }
 
 // quarantineLen reports the number of pages currently parked in this
 // shard's dirty quarantine.
-func (sh *shard) quarantineLen() int {
-	sh.quarMu.Lock()
-	n := len(sh.quarantine)
-	sh.quarMu.Unlock()
-	return n
-}
+func (sh *shard) quarantineLen() int { return int(sh.quarLen.Load()) }
 
 // drainQuarantine retries the write-back of every quarantined page,
 // returning the number made durable, the number that failed again, and
@@ -1145,10 +1141,8 @@ func (sh *shard) drainQuarantine() (written, failed int, err error) {
 	return written, failed, errors.Join(errs...)
 }
 
-// abandonFrame returns a claimed frame to the free list after a failed
-// load. The page was never admitted to the policy (two-phase protocol), so
-// no policy rollback is needed.
-func (sh *shard) abandonFrame(f *Frame) {
+// freeFrame returns a claimed frame to the free list.
+func (sh *shard) freeFrame(f *Frame) {
 	f.toFree()
 	sh.freeMu.Lock()
 	sh.freeList = append(sh.freeList, f)
@@ -1196,8 +1190,8 @@ func (sh *shard) invalidate(id page.PageID) error {
 
 	// Leave the policy before the table: while the claimed frame is still
 	// in the table, a concurrent miss for id cannot start a load (it finds
-	// the frame and retries), so it can never install the page and
-	// MissAdmit it while the policy still counts it resident.
+	// the frame and retries), so it can never admit the page while the
+	// policy still counts it resident.
 	sh.wrapper.Locked(func(pol replacer.Policy) {
 		pol.Remove(id)
 	})
@@ -1208,11 +1202,7 @@ func (sh *shard) invalidate(id page.PageID) error {
 	b.mu.Unlock()
 
 	sh.purgeQuarantine(id)
-
-	f.toFree()
-	sh.freeMu.Lock()
-	sh.freeList = append(sh.freeList, f)
-	sh.freeMu.Unlock()
+	sh.freeFrame(f)
 	return nil
 }
 
@@ -1266,6 +1256,7 @@ func (sh *shard) flushFrame(f *Frame) (bool, error) {
 	wb.retain()
 	old := sh.quarantine[id]
 	sh.quarantine[id] = wb
+	sh.quarLen.Store(int64(len(sh.quarantine)))
 	// The flusher parks on its own behalf, not a request's: drop any
 	// stale parker attribution a superseded entry left behind.
 	delete(sh.quarTrace, id)

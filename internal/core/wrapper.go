@@ -710,12 +710,22 @@ func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 	s.commit(false)
 }
 
-// Miss records a buffer miss on id: the lock is always taken (the paper
-// notes the acquisition cost is negligible next to the I/O a miss
-// implies), any queued hits are committed first — preserving access order —
-// and then the policy admits the page, returning the eviction victim.
-// This is replacement_for_page_miss in Figure 4.
+// Miss records a buffer miss on id and admits it, returning the eviction
+// victim: replacement_for_page_miss in Figure 4 for callers whose pages
+// have no frames (simulation, trace replay). See MissLocked.
 func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, evicted bool) {
+	s.MissLocked(id, func(pol replacer.Policy) { victim, evicted = pol.Admit(id) })
+	return victim, evicted
+}
+
+// MissLocked records a buffer miss on id and runs fn with the policy lock
+// held, in the one critical section the paper's replacement_for_page_miss
+// takes (Figure 4): the session's published and queued hits are applied
+// first, preserving access order, then fn runs — the buffer manager picks
+// the victim frame and admits id there — and then other sessions'
+// published batches are combined. The lock is always taken: the paper
+// notes its cost is negligible next to the I/O a miss implies.
+func (s *Session) MissLocked(id page.PageID, fn func(replacer.Policy)) {
 	w := s.w
 	s.note(false)
 	s.fold()
@@ -735,7 +745,7 @@ func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, 
 	for _, e := range pending {
 		w.applyHit(e)
 	}
-	victim, evicted = w.box.Load().policy.Admit(id)
+	fn(w.box.Load().policy)
 	if w.fc != nil {
 		w.combineLocked(s)
 	}
@@ -748,65 +758,6 @@ func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, 
 	if s.queue != nil {
 		s.queue = s.queue[:0]
 	}
-	return victim, evicted
-}
-
-// MissBegin is the first half of the two-phase miss protocol the buffer
-// manager uses: it records the miss, commits any queued hits (preserving
-// access order, as in Figure 4), and — when the policy is at capacity —
-// evicts a victim to make room, WITHOUT admitting the missing page. The
-// caller loads the page and then calls MissAdmit.
-//
-// Keeping the in-flight page out of the policy until its frame exists means
-// concurrent loaders can never choose each other's unfinished pages as
-// victims — the frameless-resident deadlock a single-phase protocol allows.
-// Single-phase Miss remains available for standalone (simulation, trace
-// replay) use, where pages have no frames at all.
-func (s *Session) MissBegin(id page.PageID, tag page.BufferTag) (victim page.PageID, evicted bool) {
-	w := s.w
-	s.note(false)
-	s.fold()
-	pending := s.queue
-	if pf := w.box.Load().prefetcher; pf != nil {
-		s.pf = prefetchInto(pf, s.pf, pending, id)
-	}
-	sched.Yield(sched.CoreMissLock)
-	t0 := s.trace.Now()
-	w.lock.Lock()
-	t1 := s.trace.Now()
-	s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(len(pending)), 0)
-	s.applyPublished()
-	for _, e := range pending {
-		w.applyHit(e)
-	}
-	if pol := w.box.Load().policy; pol.Len() >= pol.Cap() {
-		victim, evicted = pol.Evict()
-	}
-	if w.fc != nil {
-		w.combineLocked(s)
-	}
-	w.lock.Unlock()
-	s.trace.Span(reqtrace.PhasePolicyOp, -1, t1, s.trace.Now()-t1, uint64(len(pending)), uint64(id))
-	if len(pending) > 0 {
-		w.cc.commits.Add(1)
-		w.batchSizes.Observe(len(pending))
-	}
-	if s.queue != nil {
-		s.queue = s.queue[:0]
-	}
-	return victim, evicted
-}
-
-// MissAdmit is the second half of the two-phase miss protocol: the page
-// has been loaded into its frame and becomes resident in the policy. In
-// the rare case a concurrent miss consumed the slot MissBegin freed, Admit
-// evicts again and the victim is returned for the caller to reclaim.
-func (s *Session) MissAdmit(id page.PageID) (victim page.PageID, evicted bool) {
-	w := s.w
-	w.lock.Lock()
-	victim, evicted = w.box.Load().policy.Admit(id)
-	w.lock.Unlock()
-	return victim, evicted
 }
 
 // Flush commits any queued hit records with a blocking lock acquisition.

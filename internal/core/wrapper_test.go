@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -424,75 +425,60 @@ func TestAdaptiveThresholdBounded(t *testing.T) {
 	s.Flush()
 }
 
-func TestMissBeginMissAdmitProtocol(t *testing.T) {
-	rec := newRecording(2)
-	w := New(rec, Config{Batching: true, QueueSize: 8, BatchThreshold: 8})
-	s := w.NewSession()
-
-	// Fill via the two-phase path.
-	if v, ev := s.MissBegin(pid(1), page.BufferTag{}); ev {
-		t.Fatalf("eviction on empty policy: %v", v)
-	}
-	s.MissAdmit(pid(1))
-	s.MissBegin(pid(2), page.BufferTag{})
-	s.MissAdmit(pid(2))
-
-	// Queue some hits, then a miss at capacity: MissBegin must commit the
-	// queue first (order preserved) and evict without admitting.
-	s.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	v, ev := s.MissBegin(pid(3), page.BufferTag{})
-	if !ev {
-		t.Fatal("no eviction at capacity")
-	}
-	if rec.Contains(pid(3)) {
-		t.Fatal("MissBegin admitted the page")
-	}
-	if rec.Contains(v) {
-		t.Fatalf("victim %v still resident", v)
-	}
-	// The queued hit must have been applied before the eviction.
-	want := []string{"m" + pid(1).String(), "m" + pid(2).String(), "h" + pid(1).String()}
-	for i, op := range want {
-		if rec.ops[i] != op {
-			t.Fatalf("op[%d]=%s want %s", i, rec.ops[i], op)
+// TestMissLockedAppliesQueuedHitsFirst: the locked-miss entry point runs
+// its function only after the session's published batch (flat combining)
+// and queued hits have reached the policy, oldest first, and all of it
+// happens in one lock acquisition.
+func TestMissLockedAppliesQueuedHitsFirst(t *testing.T) {
+	for _, fc := range []bool{false, true} {
+		rec := newRecording(4)
+		// Plain batching keeps all three hits queued; flat combining
+		// publishes the first two (the lock is busy, so nobody drains
+		// them) and queues the third.
+		thr := 4
+		if fc {
+			thr = 2
 		}
-	}
-	if v2, ev2 := s.MissAdmit(pid(3)); ev2 {
-		t.Fatalf("MissAdmit evicted %v with a free slot", v2)
-	}
-	if !rec.Contains(pid(3)) {
-		t.Fatal("MissAdmit did not admit")
-	}
+		w := New(rec, Config{Batching: true, FlatCombining: fc, QueueSize: 8, BatchThreshold: thr})
+		s := w.NewSession()
+		var want []string
+		for i := uint64(1); i <= 3; i++ {
+			s.Miss(pid(i), page.BufferTag{})
+			want = append(want, "m"+pid(i).String())
+		}
+		w.Locked(func(replacer.Policy) {
+			s.Hit(pid(2), page.BufferTag{Page: pid(2)})
+			s.Hit(pid(1), page.BufferTag{Page: pid(1)})
+		})
+		s.Hit(pid(3), page.BufferTag{Page: pid(3)})
+		if s.Pending() != 3 {
+			t.Fatalf("fc=%v: %d hits pending before the miss, want 3", fc, s.Pending())
+		}
+		want = append(want, "h"+pid(2).String(), "h"+pid(1).String(), "h"+pid(3).String())
 
-	st := w.Stats()
-	if st.Misses != 3 {
-		t.Fatalf("misses=%d, want 3", st.Misses)
-	}
-}
-
-func TestMissAdmitEvictsWhenSlotStolen(t *testing.T) {
-	pol := replacer.NewLRU(2)
-	w := New(pol, Config{})
-	s := w.NewSession()
-	s.MissBegin(pid(1), page.BufferTag{})
-	s.MissAdmit(pid(1))
-	s.MissBegin(pid(2), page.BufferTag{})
-	s.MissAdmit(pid(2))
-	// Begin a miss (evicts pid(1)), then steal the freed slot before the
-	// admit, as a concurrent loader would.
-	if v, ev := s.MissBegin(pid(3), page.BufferTag{}); !ev || v != pid(1) {
-		t.Fatalf("victim %v/%v", v, ev)
-	}
-	w.Locked(func(p replacer.Policy) { p.Admit(pid(9)) })
-	v, ev := s.MissAdmit(pid(3))
-	if !ev {
-		t.Fatal("MissAdmit did not evict after losing the slot")
-	}
-	if v != pid(2) && v != pid(9) {
-		t.Fatalf("unexpected spare victim %v", v)
-	}
-	if !pol.Contains(pid(3)) {
-		t.Fatal("page not admitted")
+		before := w.Stats().Lock.Acquisitions
+		var seen []string
+		s.MissLocked(pid(4), func(pol replacer.Policy) {
+			seen = append(seen, rec.ops...)
+			if _, ev := pol.Admit(pid(4)); ev {
+				t.Errorf("fc=%v: admit below capacity evicted", fc)
+			}
+		})
+		if got := w.Stats().Lock.Acquisitions - before; got != 1 {
+			t.Fatalf("fc=%v: miss took the lock %d times, want 1", fc, got)
+		}
+		if strings.Join(seen, " ") != strings.Join(want, " ") {
+			t.Fatalf("fc=%v: policy saw %v before the miss function, want %v", fc, seen, want)
+		}
+		if last := rec.ops[len(rec.ops)-1]; last != "m"+pid(4).String() {
+			t.Fatalf("fc=%v: last policy op %s, want the admit of %v", fc, last, pid(4))
+		}
+		if s.Pending() != 0 {
+			t.Fatalf("fc=%v: %d hits still pending after the miss", fc, s.Pending())
+		}
+		if st := w.Stats(); st.Misses != 4 {
+			t.Fatalf("fc=%v: misses=%d, want 4", fc, st.Misses)
+		}
 	}
 }
 

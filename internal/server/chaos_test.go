@@ -87,8 +87,9 @@ func TestChaosClientVanishMidPipeline(t *testing.T) {
 
 	// The handler exits once it hits the cut; the pool keeps the eight
 	// complete PUTs (they were applied when decoded, whether or not the
-	// client ever read its acks).
-	waitFor(t, 2*time.Second, func() bool { return srv.c.active.Load() == 0 })
+	// client ever read its acks). The connection counts as active only
+	// once accepted, so wait for the accept too.
+	waitFor(t, 2*time.Second, func() bool { return srv.c.accepted.Load() == 1 && srv.c.active.Load() == 0 })
 	if got := srv.Pool().DirtyCount(); got < 1 {
 		t.Fatalf("pool dirty count %d after applied PUTs, want ≥ 1", got)
 	}
